@@ -19,13 +19,12 @@ entry point:
   module serves every instantiation and is re-attached to fresh decodes
   of the same blob;
 * **specialize** — the optimization tier's
-  :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest
-  (``REPRO_SPECIALIZE``; skipped entirely when ``off``). Specialized
-  code is instance-independent like prepared code — the passes fold only
-  module-defined immutable globals and guard everything else at run
-  time — so it attaches to every decode of the blob. A failed pass
-  leaves the unspecialized prepared code attached (performance lost,
-  correctness kept);
+  :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest.
+  Specialized code is instance-independent like prepared code — the
+  passes fold only module-defined immutable globals and guard everything
+  else at run time — so it attaches to every decode of the blob. A
+  failed pass leaves the unspecialized prepared code attached
+  (performance lost, correctness kept);
 * **zygote** — one :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`
   per digest: the post-initialization instance state the warm-start path
   clones instead of re-running two-phase instantiation. A ``None`` entry
@@ -67,11 +66,7 @@ from repro.wasm.ast import Module
 from repro.wasm.decoder import decode_module
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
-from repro.wasm.runtime.specialize import (
-    SpecializedModule,
-    specialize_mode,
-    specialize_module,
-)
+from repro.wasm.runtime.specialize import SpecializedModule, specialize_module
 from repro.wasm.validation import validate_module
 
 _DECODE_CACHE: Dict[str, Module] = {}
@@ -313,33 +308,26 @@ def prepare_cached(module, digest: str) -> PreparedModule:
 
 
 def specialize_cached(module, digest: str) -> Optional[SpecializedModule]:
-    """Memoize the specialization tier's output per (digest, mode).
+    """Memoize the specialization tier's output per digest.
 
     Runs after :func:`prepare_cached`, so the unspecialized prepared code
     is always attached first — every failure path below simply leaves it
-    in place. Returns ``None`` when the tier is off or the pass failed
-    for the whole module; otherwise attaches the specialized functions
-    and returns the cache entry.
+    in place. Returns ``None`` when the pass failed for the whole module;
+    otherwise attaches the specialized functions and returns the cache
+    entry.
 
-    A cached entry built under a different ``REPRO_SPECIALIZE`` mode is
-    discarded and rebuilt (tests flip the toggle mid-process). A corrupt
-    hit under the chaos plan is dropped and re-specialized at most
-    :data:`MAX_REBUILDS_PER_ENTRY` times, exactly like the other layers.
+    A corrupt hit under the chaos plan is dropped and re-specialized at
+    most :data:`MAX_REBUILDS_PER_ENTRY` times, exactly like the other
+    layers.
     """
-    mode = specialize_mode()
-    if mode == "off":
-        return None
     sm = _SPECIALIZED_CACHE.get(digest)
-    if sm is not None and sm.mode != mode:
-        _SPECIALIZED_CACHE.pop(digest, None)
-        sm = None
     if sm is not None and _corrupt_hit("specialize", digest):
         _SPECIALIZED_CACHE.pop(digest, None)
         sm = None
     if sm is None:
         specialize_stats.miss()
         try:
-            sm = specialize_module(module, mode)
+            sm = specialize_module(module)
         except Exception:
             # Whole-module pass failure: stay on prepared code.
             return None
@@ -437,7 +425,3 @@ def reset_caches() -> None:
     zygote_stats.reset()
     run_stats.reset()
     _ZYGOTE_FALLBACKS.reset()
-
-
-# Pre-existing callers use the old name; keep it as an alias.
-clear_caches = reset_caches

@@ -14,9 +14,9 @@ byte-identical to the simulation it replaced — rendered figures and
 campaign summaries cannot drift between cold and warm runs.
 
 ``<toggles8>`` fingerprints the runtime toggles that change what a
-simulation computes — ``REPRO_SPECIALIZE``, ``REPRO_ZYGOTE``, and
-``REPRO_MEMORY_ACCOUNTING`` — so a run cached under one toggle
-combination is never served under another. Entries also record the
+simulation computes — ``REPRO_ZYGOTE`` and ``REPRO_MEMORY_ACCOUNTING``
+— so a run cached under one toggle combination is never served under
+another. Entries also record the
 wall-clock seconds the simulation took, which the campaign engine reads
 as per-cell cost estimates for longest-expected-cost-first scheduling.
 
@@ -69,11 +69,9 @@ def runtime_toggles() -> Dict[str, str]:
     """
     from repro.sim.memory import ACCOUNTING_ENV
     from repro.wasm.runtime.snapshot import zygote_enabled
-    from repro.wasm.runtime.specialize import specialize_mode
 
     return {
         "accounting": os.environ.get(ACCOUNTING_ENV, "incremental"),
-        "specialize": specialize_mode(),
         "zygote": "on" if zygote_enabled() else "off",
     }
 

@@ -7,8 +7,8 @@ link WASI imports → instantiate → attach exported memory → call
 Repeated runs of one blob are collapsed through the engine caches: the
 bytes are decoded/validated once per digest (``decode`` layer), the
 **specialization tier** rewrites the prepared bytecode once per digest
-(``specialize`` layer — constant folding, bounds-check elision, inline
-caches, closure compilation; disable with ``REPRO_SPECIALIZE=off``), and
+(``specialize`` layer — constant folding, peephole re-fusion,
+bounds-check elision, inline caches), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to
@@ -328,10 +328,8 @@ def run_wasi(
             ("mode",),
         ).labels(mode).inc()
         pf = module.funcs[0].prepared if module.funcs else None
-        if getattr(pf, "fallback", None) is not None:
-            spec_mode = "compiled" if pf.compiled is not None else "bytecode"
-        else:
-            spec_mode = "off"
+        # "off": a pass failure left the unspecialized prepared code
+        spec_mode = "off" if getattr(pf, "fallback", None) is None else "bytecode"
         obs.counter(
             "repro_specialize_runs_total",
             "guest runs by specialization-tier attachment",

@@ -3,11 +3,10 @@
 Two interpreters share one store model: the production
 :class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
 while :class:`ReferenceInterpreter` walks the AST and serves as the
-executable specification for differential testing. A third, optional
-tier (``specialize.py``, ``REPRO_SPECIALIZE``) rewrites prepared code
-per module digest — constant folding, bounds-check elision, inline
-caches, and closure compilation — with guarded deopt back to the
-prepared baseline.
+executable specification for differential testing. The specialization
+tier (``specialize.py``) rewrites prepared code per module digest —
+constant folding, peephole re-fusion, bounds-check elision, and inline
+caches — with guarded deopt back to the prepared baseline.
 """
 
 from repro.wasm.runtime.store import (
@@ -29,7 +28,6 @@ from repro.wasm.runtime.reference import ReferenceInterpreter
 from repro.wasm.runtime.specialize import (
     SpecializedFunction,
     SpecializedModule,
-    specialize_mode,
     specialize_module,
 )
 from repro.wasm.runtime.instantiate import instantiate
@@ -63,7 +61,6 @@ __all__ = [
     "prepare_module",
     "SpecializedFunction",
     "SpecializedModule",
-    "specialize_mode",
     "specialize_module",
     "instantiate",
 ]

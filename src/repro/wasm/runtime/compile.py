@@ -59,11 +59,6 @@ class PreparedFunction:
     ``code`` is a tuple of ``(handler, args, weight)`` triples; handlers
     take ``(interp, frame, stack, args, pc)`` and return the next pc
     (``-1`` terminates the activation).
-
-    ``compiled`` is an optional exec'd Python closure produced by the
-    specialization tier (``specialize.py``); ``Interpreter._call_wasm``
-    dispatches to it for unmetered activations and falls back to
-    ``code`` otherwise.
     """
 
     __slots__ = (
@@ -72,7 +67,6 @@ class PreparedFunction:
         "local_defaults",
         "source_instrs",
         "name",
-        "compiled",
     )
 
     def __init__(
@@ -88,7 +82,6 @@ class PreparedFunction:
         self.local_defaults = local_defaults
         self.source_instrs = source_instrs  # AST instrs represented (= sum of weights)
         self.name = name
-        self.compiled = None
 
 
 class PreparedModule:
@@ -110,7 +103,7 @@ def prepare_module(module: Module) -> PreparedModule:
 
     An attached ``SpecializedFunction`` (specialization tier) is unwound
     to its unspecialized ``fallback`` first: the prepare layer caches
-    *baseline* code only, so a corrupted or disabled specialize layer can
+    *baseline* code only, so a corrupted or failed specialize layer can
     always fall back to it.
     """
     functions = []

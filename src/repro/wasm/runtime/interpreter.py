@@ -15,7 +15,8 @@ instruction *before* it executes; ``ExhaustionError("fuel exhausted")``
 with the exhausting instruction not counted), ``instructions_executed``
 (counts source AST instructions, not flat entries — fused
 superinstructions carry the summed weight of their parts), and all trap
-messages.
+messages. Code rewritten by the specialization tier (``specialize.py``)
+is the same kind of triple tuple and runs on this same loop.
 
 Fuel bookkeeping is hoisted out of the common path: when ``fuel`` is
 ``None`` the loop accumulates the count in a local and flushes it once
@@ -30,7 +31,6 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm.runtime.compile import prepare_function
-from repro.wasm.runtime.specialize import METERED_DEOPT
 from repro.wasm.runtime.store import FuncInstance, ModuleInstance, Store
 
 
@@ -114,30 +114,6 @@ class Interpreter:
         if mem is None and inst.mem_addrs:
             mem = inst.mem0 = self.store.mems[inst.mem_addrs[0]]
         prof = self.profiler
-        compiled = prepared.compiled
-        if compiled is not None:
-            if self.fuel is None:
-                # Specialization tier: the exec'd closure flushes its own
-                # retired-instruction count and raises the same traps as
-                # the flat code; results come back as the final list.
-                self._depth += 1
-                if prof is None:
-                    try:
-                        return compiled(self, Frame(args, inst, mem))
-                    finally:
-                        self._depth -= 1
-                # Inner activations flush their counts in their own
-                # finally first, so the delta seen here is inclusive.
-                prof.enter(fi.name or "<anonymous>")
-                base = self.instructions_executed
-                try:
-                    return compiled(self, Frame(args, inst, mem))
-                finally:
-                    self._depth -= 1
-                    prof.exit(self.instructions_executed - base)
-            # Metered activations need the per-entry fuel debit protocol;
-            # deopt to the specialized flat bytecode below.
-            METERED_DEOPT.inc()
         frame = Frame(args, inst, mem)
         stack: List[object] = []
         self._depth += 1

@@ -113,7 +113,7 @@ class TestSpecializeCorrupt:
         assert cache_rebuilds()[("specialize", digest)] == 1
 
     def test_pass_failure_falls_back_to_prepared(self, monkeypatch):
-        def boom(module, mode):
+        def boom(module):
             raise RuntimeError("specialization pass exploded")
 
         monkeypatch.setattr(engine_cache, "specialize_module", boom)
@@ -124,23 +124,6 @@ class TestSpecializeCorrupt:
         assert pf is not None
         assert not isinstance(pf, SpecializedFunction)
         assert cache_stats()["specialize"]["entries"] == 0
-
-    def test_off_mode_skips_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        blob = assemble_wat(WAT)
-        module, _ = decode_cached(blob)
-        assert not isinstance(module.funcs[0].prepared, SpecializedFunction)
-        assert cache_stats()["specialize"]["entries"] == 0
-
-    def test_mode_change_respecializes(self, monkeypatch):
-        blob = assemble_wat(WAT)
-        module, _ = decode_cached(blob)
-        assert module.funcs[0].prepared.compiled is not None  # default: on
-        monkeypatch.setenv("REPRO_SPECIALIZE", "bytecode")
-        module2, _ = decode_cached(blob)
-        sf = module2.funcs[0].prepared
-        assert isinstance(sf, SpecializedFunction)
-        assert sf.compiled is None
 
 
 class TestRunCacheBypass:

@@ -6,7 +6,6 @@ from repro.engines import available_engines, get_engine
 from repro.engines.base import WasmEngine
 from repro.engines.cache import (
     cache_stats,
-    clear_caches,
     compile_cached,
     compile_stats,
     prepare_stats,
@@ -139,21 +138,21 @@ class TestMemoryAccounting:
 
 class TestCache:
     def test_run_cached_reuses_results(self, blob):
-        clear_caches()
+        reset_caches()
         engine = get_engine("wamr")
         c1, r1 = run_cached(engine, blob, args=["svc"], env={"A": "1"})
         c2, r2 = run_cached(engine, blob, args=["svc"], env={"A": "1"})
         assert r1 is r2 and c1 is c2
 
     def test_cache_distinguishes_env(self, blob):
-        clear_caches()
+        reset_caches()
         engine = get_engine("wamr")
         _, r1 = run_cached(engine, blob, args=["svc"], env={"REQUESTS": "1"})
         _, r2 = run_cached(engine, blob, args=["svc"], env={"REQUESTS": "2"})
         assert r1.stdout != r2.stdout
 
     def test_cache_distinguishes_engine(self, blob):
-        clear_caches()
+        reset_caches()
         c1, _ = run_cached(get_engine("wamr"), blob, args=["x"])
         c2, _ = run_cached(get_engine("wasmtime"), blob, args=["x"])
         assert c1.artifact_bytes != c2.artifact_bytes
@@ -186,6 +185,3 @@ class TestCache:
         stats = cache_stats()
         for layer in ("compile", "prepare", "run"):
             assert stats[layer] == {"hits": 0, "misses": 0, "entries": 0}
-
-    def test_clear_caches_is_reset_alias(self):
-        assert clear_caches is reset_caches

@@ -88,7 +88,6 @@ class TestMeasurementCache:
         assert cache.get(1, "crun-wamr", 10) == m
         baseline = toggle_fingerprint()
         for env, value in (
-            ("REPRO_SPECIALIZE", "off"),
             ("REPRO_ZYGOTE", "off"),
             ("REPRO_MEMORY_ACCOUNTING", "reference"),
         ):
@@ -103,7 +102,7 @@ class TestMeasurementCache:
         m = sequential[("crun-wamr", 10)]
         cache.put(1, "crun-wamr", 10, m)
         # Explicit defaults fingerprint identically to unset toggles.
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
+        monkeypatch.setenv("REPRO_ZYGOTE", "on")
         monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "incremental")
         assert cache.get(1, "crun-wamr", 10) == m
 

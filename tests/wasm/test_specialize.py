@@ -5,7 +5,7 @@ and by inspecting the rewritten flat code (handler identity), then the
 result is executed to confirm behaviour is unchanged. The differential
 suites (`tests/wasm/test_differential.py`, the hypothesis property)
 cover end-to-end equivalence; this file pins the mechanics: what gets
-folded, fused, elided, IC'd, and compiled, and that instruction
+folded, fused, elided, and IC'd, and that instruction
 accounting and the deopt chain survive every rewrite.
 """
 
@@ -20,21 +20,27 @@ from repro.wasm.runtime import (
     Store,
     instantiate,
     prepare_module,
-    specialize_mode,
     specialize_module,
 )
-from repro.wasm.runtime.specialize import (
-    METERED_DEOPT,
-    SpecializeReport,
-    specialize_counts,
-)
+from repro.wasm.runtime.specialize import SpecializeReport, specialize_counts
+
+LOOP = """
+    (module (func (export "run") (param i32) (result i32)
+      (local $acc i32)
+      (block $out (loop $top
+        (br_if $out (i32.eqz (local.get 0)))
+        (local.set $acc (i32.add (local.get $acc) (local.get 0)))
+        (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
+        (br $top)))
+      (local.get $acc)))
+"""
 
 
-def _specialized(src, mode="bytecode"):
+def _specialized(src):
     module = validate_module(parse_wat(src))
     prepare_module(module)
     report = SpecializeReport()
-    specialize_module(module, mode, report=report).attach(module)
+    specialize_module(module, report=report).attach(module)
     return module, report
 
 
@@ -191,81 +197,24 @@ class TestInlineCaches:
             _run(module)
 
 
-class TestClosureTier:
-    LOOP = """
-        (module (func (export "run") (param i32) (result i32)
-          (local $acc i32)
-          (block $out (loop $top
-            (br_if $out (i32.eqz (local.get 0)))
-            (local.set $acc (i32.add (local.get $acc) (local.get 0)))
-            (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
-            (br $top)))
-          (local.get $acc)))
-    """
-
-    def test_bytecode_mode_never_compiles(self):
-        module, report = _specialized(self.LOOP, mode="bytecode")
-        assert report.compiled == 0 and report.bytecode == 1
-        assert module.funcs[0].prepared.compiled is None
-
-    def test_on_mode_compiles_closure(self):
-        module, report = _specialized(self.LOOP, mode="on")
-        sf = module.funcs[0].prepared
-        assert report.compiled == 1
-        assert sf.compiled is not None
-        assert "while True:" in sf.compiled.__specialized_source__
-        assert _run(module, args=(10,)) == [55]
-
-    def test_metered_run_deopts_to_bytecode(self):
-        module, _ = _specialized(self.LOOP, mode="on")
-        before = METERED_DEOPT.value
-        assert _run(module, args=(10,), fuel=10_000) == [55]
-        assert METERED_DEOPT.value > before
-
-    def test_unmetered_counts_exact_instructions(self):
-        module, _ = _specialized(self.LOOP, mode="on")
-        flat_module = validate_module(parse_wat(self.LOOP))
-        store = Store()
-        inst = instantiate(store, flat_module)
-        flat = Interpreter(store)
-        flat.invoke_export(inst, "run", [10])
-        store2 = Store()
-        inst2 = instantiate(store2, module)
-        spec = Interpreter(store2)
-        spec.invoke_export(inst2, "run", [10])
-        assert spec.instructions_executed == flat.instructions_executed
-
-
 class TestDriver:
     def test_specialized_function_keeps_baseline_fallback(self):
-        module, _ = _specialized(TestClosureTier.LOOP)
+        module, _ = _specialized(LOOP)
         sf = module.funcs[0].prepared
         assert isinstance(sf, SpecializedFunction)
         assert type(sf.fallback) is not SpecializedFunction
 
     def test_respecialize_is_idempotent(self):
-        module, _ = _specialized(TestClosureTier.LOOP)
+        module, _ = _specialized(LOOP)
         first_fallback = module.funcs[0].prepared.fallback
-        specialize_module(module, "bytecode").attach(module)
+        specialize_module(module).attach(module)
         sf = module.funcs[0].prepared
         assert sf.fallback is first_fallback  # never stacks tiers
         assert _run(module, args=(4,)) == [10]
 
-    def test_invalid_mode_rejected(self):
-        module = validate_module(parse_wat(TestClosureTier.LOOP))
-        prepare_module(module)
-        with pytest.raises(ValueError):
-            specialize_module(module, "off")
-
     def test_counts_exposes_all_keys(self):
         counts = specialize_counts()
-        assert set(counts) == {
-            "functions_compiled",
-            "functions_bytecode",
-            "functions_failed",
-            "deopts_ic_miss",
-            "deopts_metered",
-        }
+        assert set(counts) == {"functions_failed", "deopts_ic_miss"}
 
     def test_pass_duration_observed(self):
         fam = obs.histogram(
@@ -274,27 +223,5 @@ class TestDriver:
             always=True,
         )
         before = fam.labels().count
-        _specialized(TestClosureTier.LOOP)
+        _specialized(LOOP)
         assert fam.labels().count == before + 1
-
-
-class TestModeParsing:
-    @pytest.mark.parametrize(
-        "raw,want",
-        [
-            ("on", "on"),
-            ("", "on"),
-            ("bytecode", "bytecode"),
-            ("off", "off"),
-            ("0", "off"),
-            ("FALSE", "off"),
-            ("no", "off"),
-            ("garbage", "on"),
-        ],
-    )
-    def test_env_values(self, raw, want, monkeypatch):
-        if raw == "":
-            monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SPECIALIZE", raw)
-        assert specialize_mode() == want
