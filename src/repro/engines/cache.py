@@ -56,6 +56,7 @@ would let one pod's injected trap answer for every pod.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -83,6 +84,13 @@ _ZYGOTE_QUARANTINE: Set[str] = set()
 #: digests whose snapshot passed checksum verification once already —
 #: amortizes the sha256 so the happy path verifies each digest one time.
 _ZYGOTE_VERIFIED: Set[str] = set()
+
+#: modules the decode or compile layer validated, by ``id`` (the value
+#: check guards against id reuse). Validity is a property of the module
+#: object, not of cache state, so clearing the caches leaves this alone.
+_VALIDATED: "weakref.WeakValueDictionary[int, Module]" = (
+    weakref.WeakValueDictionary()
+)
 
 #: per-(layer, digest) rebuild count for corrupt cache entries.
 _REBUILDS: Dict[Tuple[str, str], int] = {}
@@ -197,6 +205,7 @@ def decode_cached(
         decode_stats.miss()
         module = decode_module(bytes(blob))
         validate_module(module)
+        _VALIDATED[id(module)] = module
         _DECODE_CACHE[digest] = module
     else:
         decode_stats.hit()
@@ -219,7 +228,8 @@ def compile_cached(
         compiled = None
     if compiled is None:
         compile_stats.miss()
-        compiled = engine.compile(blob)
+        compiled = engine.compile(blob)  # decodes and validates
+        _VALIDATED[id(compiled.module)] = compiled.module
         compiled.digest = digest
         _COMPILE_CACHE[key] = compiled
     else:
@@ -227,6 +237,15 @@ def compile_cached(
     prepare_cached(compiled.module, digest)
     specialize_cached(compiled.module, digest)
     return compiled
+
+
+def cache_validated(module: Module) -> bool:
+    """Did the decode or compile layer validate this very ``module``?
+
+    ``run_wasi`` skips re-validating such modules; a hand-built module
+    is never registered here and is validated on every run.
+    """
+    return _VALIDATED.get(id(module)) is module
 
 
 # -- zygote layer (no get-or-create: capture happens mid-run in embed.py) --

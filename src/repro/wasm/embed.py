@@ -201,7 +201,7 @@ def run_wasi(
 
     if isinstance(module, (bytes, bytearray)):
         module, digest = engine_cache.decode_cached(bytes(module), digest)
-    else:
+    elif not engine_cache.cache_validated(module):
         validate_module(module)
 
     use_zygote = zygote_enabled() if zygote is None else bool(zygote)

@@ -50,6 +50,25 @@ class Frame:
         self.mem = mem
 
 
+def call_with_headroom(needed: int, fn, *args):
+    """``fn(*args)`` with the process recursion limit at least ``needed``.
+
+    Guest recursion runs on the Python stack, so deep guests need more
+    than Python's default limit. The limit is process-global, so it is
+    raised only for the duration of the call and then restored. Nested
+    calls (a host function re-entering a guest) restore in LIFO order,
+    so an inner call never lowers a limit an outer one still needs.
+    """
+    limit = sys.getrecursionlimit()
+    if limit >= needed:
+        return fn(*args)
+    sys.setrecursionlimit(needed)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class Interpreter:
     """Executes functions from a :class:`Store` by running prepared flat code."""
 
@@ -62,12 +81,9 @@ class Interpreter:
         # A guest call costs 3 Python frames in the flat scheme (the call
         # handler -> _call_wasm -> _run); budget 6 per guest frame for
         # headroom (host functions, instantiation nesting) plus a 1000
-        # frame base for the embedder. The limit is raised, never lowered
-        # or restored: it is process-global and other live interpreters
-        # may depend on it.
-        needed = 1000 + max_call_depth * 6
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+        # frame base for the embedder. `invoke` raises the limit to this
+        # only for the duration of the call (`call_with_headroom`).
+        self._frames_needed = 1000 + max_call_depth * 6
         self.store = store
         self.fuel = fuel
         self.max_call_depth = max_call_depth
@@ -90,7 +106,9 @@ class Interpreter:
         if fi.is_host:
             result = fi.host_fn(*args)  # type: ignore[misc]
             return list(result) if result is not None else []
-        return self._call_wasm(fi, list(args))
+        return call_with_headroom(
+            self._frames_needed, self._call_wasm, fi, list(args)
+        )
 
     def invoke_export(self, instance: ModuleInstance, name: str, args: Sequence[object] = ()):
         return self.invoke(instance.export_addr(name, "func"), args)

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm.ast import Expr, Instr
 from repro.wasm.runtime import values as V
+from repro.wasm.runtime.interpreter import call_with_headroom
 from repro.wasm.runtime.ops import BINOPS, CMPOPS, LOADS, STORES, UNOPS
 from repro.wasm.runtime.store import FuncInstance, ModuleInstance, Store
 
@@ -53,15 +54,12 @@ class ReferenceInterpreter:
         fuel: Optional[int] = None,
         max_call_depth: int = 400,
     ) -> None:
-        import sys
-
         # Each guest frame costs ~24 Python frames here (call dispatch plus
         # one `_exec_block` frame per structured nesting level); make sure
         # the guest limit is reached first so exhaustion surfaces as a wasm
-        # trap, not a RecursionError.
-        needed = 5000 + max_call_depth * 24
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+        # trap, not a RecursionError. `invoke` holds this limit only for
+        # the duration of the call.
+        self._frames_needed = 5000 + max_call_depth * 24
         self.store = store
         self.fuel = fuel
         self.max_call_depth = max_call_depth
@@ -81,7 +79,9 @@ class ReferenceInterpreter:
         if fi.is_host:
             result = fi.host_fn(*args)  # type: ignore[misc]
             return list(result) if result is not None else []
-        return self._call_wasm(fi, list(args))
+        return call_with_headroom(
+            self._frames_needed, self._call_wasm, fi, list(args)
+        )
 
     def invoke_export(self, instance: ModuleInstance, name: str, args: Sequence[object] = ()):
         return self.invoke(instance.export_addr(name, "func"), args)

@@ -7,7 +7,7 @@ memory minimum already guarantees, and every ``call_indirect`` re-walks
 ``table → store → type check``. This module is a second lowering stage
 that rewrites finished :class:`PreparedFunction` code — the same
 ``(handler, args, weight)`` triples, the same dispatch loop — through
-four passes, in order:
+five passes, in order:
 
 1. **Constant folding** — ``global.get`` of a module-defined immutable
    global with a constant initializer becomes ``h_const`` (the value is
@@ -33,6 +33,16 @@ four passes, in order:
    ``repro_specialize_deopts_total{reason="ic_miss"}``) takes the full
    generic path, including its exact trap messages, then refills the
    cell.
+5. **Inlined superinstructions** — in the style of WAMR's fast
+   interpreter, each straight-line window of pure integer code
+   (``local.get``, constants, non-trapping i32/i64 operators), ended
+   by at most one ``local.set``/``local.tee``/``br_if``/``if``, becomes
+   one handler with the arithmetic written inline instead of calls
+   into ``ops.py`` callables. A compiled loop's index update, its
+   compare-and-branch and its body expressions each take one dispatch.
+   Handlers are generated from source on first use and shared by every
+   window of the same shape, so import pays nothing; floats, div/rem,
+   loads, stores and calls keep the generic handlers.
 
 The result runs on the unmodified flat dispatch loop, metered or not.
 ``engines/cache.py`` keys it by content digest (the ``specialize``
@@ -58,7 +68,7 @@ from repro.wasm.runtime.compile import (
     _func_signatures,
     prepare_function,
 )
-from repro.wasm.runtime.ops import BINOPS, UNOPS
+from repro.wasm.runtime.ops import BINOPS, CMPOPS, UNOPS
 from repro.wasm.types import PAGE_SIZE
 
 _U32 = struct.Struct("<I")
@@ -303,20 +313,29 @@ def _memory_min_bytes(module: Module) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Flat-code CFG helpers shared by the peephole and elision passes
+# Flat-code CFG helpers shared by the peephole, elision and fusion passes
 # ---------------------------------------------------------------------------
+
+#: Handlers that carry one branch target: ``None`` when ``args`` is the
+#: pc itself, else the index of the pc inside the ``args`` tuple. Pass 5
+#: registers each generated branching handler here as it builds it.
+_PC_SLOT: Dict[object, Optional[int]] = {
+    flat.h_goto: None,
+    flat.h_if: None,
+    flat.h_br_if: None,
+    flat.h_br_adjust: 0,
+    flat.h_br_if_adjust: 0,
+    flat.h_cmp_br_if: 1,
+}
 
 
 def _branch_targets(code) -> Set[int]:
     """Every pc that some branch can land on (fusion must not cross one)."""
     targets: Set[int] = set()
     for handler, args, _w in code:
-        if handler is flat.h_goto or handler is flat.h_if or handler is flat.h_br_if:
-            targets.add(args)
-        elif handler is flat.h_br_adjust or handler is flat.h_br_if_adjust:
-            targets.add(args[0])
-        elif handler is flat.h_cmp_br_if:
-            targets.add(args[1])
+        if handler in _PC_SLOT:
+            slot = _PC_SLOT[handler]
+            targets.add(args if slot is None else args[slot])
         elif handler is flat.h_br_table:
             table, default = args
             for t, _want, _arity in table:
@@ -329,12 +348,12 @@ def _remap_pcs(entries, pcmap):
     """Rewrite every stored pc through ``pcmap`` after entries moved."""
     out = []
     for handler, args, weight in entries:
-        if handler is flat.h_goto or handler is flat.h_if or handler is flat.h_br_if:
-            args = pcmap[args]
-        elif handler is flat.h_br_adjust or handler is flat.h_br_if_adjust:
-            args = (pcmap[args[0]], args[1], args[2])
-        elif handler is flat.h_cmp_br_if:
-            args = (args[0], pcmap[args[1]])
+        if handler in _PC_SLOT:
+            slot = _PC_SLOT[handler]
+            if slot is None:
+                args = pcmap[args]
+            else:
+                args = args[:slot] + (pcmap[args[slot]],) + args[slot + 1 :]
         elif handler is flat.h_br_table:
             table, default = args
             args = (
@@ -623,6 +642,243 @@ def _install_ics(entries):
 
 
 # ---------------------------------------------------------------------------
+# Pass 5: superinstructions with inlined integer arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _int_exprs(bits: int) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Inline Python expressions over operands ``a`` and ``b`` for the
+    non-trapping ``i<bits>`` operators: (binops, comparisons).
+
+    Each equals its ``ops.py`` callable for *every* Python int, not only
+    for the unsigned representation the interpreter keeps (pinned by
+    ``tests/wasm/test_specialize.py``): shift counts are masked as
+    ``% bits`` is, and signed views are taken as ``signed32/64`` does,
+    by flipping the sign bit of the masked value.
+    """
+    m = hex((1 << bits) - 1)
+    s = hex(1 << (bits - 1))
+    k = f"(b & {bits - 1})"
+    p = f"i{bits}."
+    binops = {
+        p + "add": f"(a + b) & {m}",
+        p + "sub": f"(a - b) & {m}",
+        p + "mul": f"(a * b) & {m}",
+        p + "and": "a & b",
+        p + "or": "a | b",
+        p + "xor": "a ^ b",
+        p + "shl": f"(a << {k}) & {m}",
+        p + "shr_u": f"a >> {k}",
+        p + "shr_s": f"((((a & {m}) ^ {s}) - {s}) >> {k}) & {m}",
+        p + "rotl": f"((a << {k}) | (a >> ({bits} - {k}))) & {m}",
+        p + "rotr": f"((a >> {k}) | (a << ({bits} - {k}))) & {m}",
+    }
+    cmps = {p + "eq": "a == b", p + "ne": "a != b"}
+    for name, rel in (("lt", "<"), ("gt", ">"), ("le", "<="), ("ge", ">=")):
+        cmps[f"{p}{name}_u"] = f"a {rel} b"
+        cmps[f"{p}{name}_s"] = f"((a & {m}) ^ {s}) {rel} ((b & {m}) ^ {s})"
+    return binops, cmps
+
+
+_BIN32, _CMP32 = _int_exprs(32)
+_BIN64, _CMP64 = _int_exprs(64)
+#: the non-trapping integer unary operators: expression over ``a``
+_UNARY = {
+    "i32.eqz": "a == 0",
+    "i64.eqz": "a == 0",
+    "i32.wrap_i64": "a & 0xffffffff",
+    "i64.extend_i32_u": "a & 0xffffffff",
+    "i64.extend_i32_s": "(((a & 0xffffffff) ^ 0x80000000) - 0x80000000)"
+    " & 0xffffffffffffffff",
+}
+#: opcode name -> inline expression, for every inlinable operator
+_EXPRS = {**_BIN32, **_BIN64, **_CMP32, **_CMP64, **_UNARY}
+#: operators whose expression is a truth value (pushed as 1/0)
+_BOOL = frozenset(_CMP32) | frozenset(_CMP64) | {"i32.eqz", "i64.eqz"}
+#: operator callable (as bound into flat code) -> opcode name
+_INLINE_OPS = {{**BINOPS, **CMPOPS, **UNOPS}[op]: op for op in _EXPRS}
+
+#: window components that must come last: they write a local or branch
+_SINKS = ("set", "tee", "br_if", "if")
+
+
+def _components(handler, args):
+    """The source instructions of a flat entry as window components
+    ``(kind, immediate)``, or ``None`` if a window cannot absorb it."""
+    if handler is flat.h_local_get:
+        return [("get", args)]
+    if handler is flat.h_const:
+        return [("const", args)]
+    if handler is flat.h_binop or handler is flat.h_cmp or handler is flat.h_unop:
+        op = _INLINE_OPS.get(args)
+        return None if op is None else [("op", op)]
+    if handler is flat.h_lgg_binop or handler is flat.h_lgg_cmp:
+        i, j, f = args
+        op = _INLINE_OPS.get(f)
+        return None if op is None else [("get", i), ("get", j), ("op", op)]
+    if handler is flat.h_const_binop or handler is flat.h_const_cmp:
+        c, f = args
+        op = _INLINE_OPS.get(f)
+        return None if op is None else [("const", c), ("op", op)]
+    if handler is flat.h_cmp_br_if:
+        f, target = args
+        op = _INLINE_OPS.get(f)
+        return None if op is None else [("op", op), ("br_if", target)]
+    if handler is flat.h_local_set:
+        return [("set", args)]
+    if handler is flat.h_local_tee:
+        return [("tee", args)]
+    if handler is flat.h_br_if:
+        return [("br_if", args)]
+    if handler is flat.h_if:
+        return [("if", args)]
+    return None
+
+
+def _window_source(name: str, comps) -> Tuple[str, Optional[int]]:
+    """Python source of one handler running ``comps``, and the index of
+    its branch target in ``args`` (``None``: no branch).
+
+    Components run on a virtual stack of expressions. Immediates are read
+    from ``args`` (so windows of one shape share a handler), every
+    operator result is bound to a temporary, and an operand missing from
+    the virtual stack is popped off the real one. Whatever is left is
+    pushed at the end. Local reads are deferred to their use, which is
+    exact because the only write, a ``set``/``tee`` sink, comes last and
+    is emitted after the leftovers are pushed.
+    """
+    lines: List[str] = []
+    imms: List[str] = []
+    vs: List[Tuple[str, Optional[str]]] = []  # (value expr, truth expr)
+    target = None
+
+    def operand() -> Tuple[str, Optional[str]]:
+        if vs:
+            return vs.pop()
+        popped = f"s{len(lines)}"
+        lines.append(f"{popped} = stack.pop()")
+        return popped, None
+
+    def immediate() -> str:
+        imms.append(f"x{len(imms)}")
+        return imms[-1]
+
+    def push_leftovers() -> None:
+        values = [v for v, _t in vs]
+        vs.clear()
+        if len(values) == 1:
+            lines.append(f"stack.append({values[0]})")
+        elif values:
+            lines.append(f"stack.extend(({', '.join(values)},))")
+
+    for kind, x in comps:
+        if kind == "get":
+            vs.append((f"loc[{immediate()}]", None))
+        elif kind == "const":
+            vs.append((immediate(), None))
+        elif kind == "op":
+            if x in _UNARY:
+                lines.append(f"a = {operand()[0]}")
+            else:
+                b = operand()[0]
+                lines.append(f"a = {operand()[0]}")
+                lines.append(f"b = {b}")
+            tmp = f"v{len(lines)}"
+            lines.append(f"{tmp} = {_EXPRS[x]}")
+            vs.append((f"(1 if {tmp} else 0)", tmp) if x in _BOOL else (tmp, None))
+        elif kind in ("set", "tee"):  # sinks come last
+            lines.append(f"v = {operand()[0]}")
+            if kind == "tee":
+                vs.append(("v", None))
+            push_leftovers()
+            lines.append(f"loc[{immediate()}] = v")
+        else:  # br_if / if
+            value, truth = operand()
+            push_leftovers()
+            target = len(imms)
+            taken = immediate()
+            cond = truth or value
+            if kind == "br_if":
+                lines.append(f"return {taken} if {cond} else pc + 1")
+            else:  # `if` falls through into the then-arm when true
+                lines.append(f"return pc + 1 if {cond} else {taken}")
+    if target is None:
+        push_leftovers()
+        lines.append("return pc + 1")
+    head = []
+    if imms:
+        head.append(f"{', '.join(imms)}, = args")
+    if any(kind in ("get", "set", "tee") for kind, _x in comps):
+        head.append("loc = frame.locals")
+    body = "\n    ".join(head + lines)
+    return f"def {name}(interp, frame, stack, args, pc):\n    {body}\n", target
+
+
+_GENERATED: Dict[str, object] = {}
+
+
+def _window_handler(comps):
+    """The handler for a window of components, built on first use and
+    shared by every window of the same shape (nothing is generated at
+    import)."""
+    tags = [op.replace(".", "_") if kind == "op" else kind for kind, op in comps]
+    name = "h_" + "_".join(tags)
+    src, target = _window_source(name, comps)
+    handler = _GENERATED.get(src)
+    if handler is None:
+        namespace: Dict[str, object] = {}
+        exec(compile(src, f"<specialize {name}>", "exec"), namespace)
+        handler = _GENERATED[src] = namespace[name]
+        if target is not None:
+            _PC_SLOT[handler] = target
+    return handler
+
+
+def _compile_windows(entries, targets):
+    """Compile windows of pure integer code into single handlers;
+    returns ``(entries, windows, inlined_operator_calls)``.
+
+    A window grows from an absorbable entry over the following ones
+    until the next is a branch target, is not absorbable (loads, stores,
+    calls, floats, div/rem, trunc, ...), or a sink has been taken. Every
+    component before the last is ``local.get``, a constant or an inlined
+    non-trapping operator — pure and unable to trap — and the window
+    carries the summed weight, so fuel partial credit stays exact.
+    Branch targets in the new entries are old pcs until the final remap.
+    """
+    out: List[tuple] = []
+    pcmap: Dict[int, int] = {}
+    windows = inlined = 0
+    i = 0
+    n = len(entries)
+    while i < n:
+        pcmap[i] = len(out)
+        handler, args, weight = entries[i]
+        comps = _components(handler, args)
+        j = i + 1
+        if comps is not None:
+            while comps[-1][0] not in _SINKS and j < n and j not in targets:
+                more = _components(entries[j][0], entries[j][1])
+                if more is None:
+                    break
+                comps += more
+                weight += entries[j][2]
+                j += 1
+        ops = 0 if comps is None else sum(kind == "op" for kind, _x in comps)
+        if comps is None or (j == i + 1 and not ops):
+            out.append((handler, args, weight))
+            i = j
+            continue
+        immediates = tuple(x for kind, x in comps if kind != "op")
+        out.append((_window_handler(comps), immediates, weight))
+        windows += 1
+        inlined += ops
+        i = j
+    pcmap[n] = len(out)  # end-of-code sentinel (never a real target)
+    return _remap_pcs(out, pcmap), windows, inlined
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -630,13 +886,17 @@ def _install_ics(entries):
 class SpecializeReport:
     """Per-module pass statistics (tests and `repro inspect`)."""
 
-    __slots__ = ("folded", "fused", "elided", "ic_sites")
+    __slots__ = ("folded", "fused", "elided", "ic_sites", "windows", "inlined")
 
     def __init__(self) -> None:
         self.folded = 0
         self.fused = 0
         self.elided = 0
         self.ic_sites = 0
+        #: pass 5: windows compiled to one handler, and the operator
+        #: calls they write inline
+        self.windows = 0
+        self.inlined = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -655,6 +915,9 @@ def _specialize_code(module, pf, fold_map, mem_min, report):
     report.elided += elided
     entries, ic_sites = _install_ics(entries)
     report.ic_sites += ic_sites
+    entries, windows, inlined = _compile_windows(entries, targets)
+    report.windows += windows
+    report.inlined += inlined
     code = tuple(entries)
     total = sum(w for _h, _a, w in code)
     assert total == pf.source_instrs, (

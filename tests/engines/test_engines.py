@@ -13,10 +13,12 @@ from repro.engines.cache import (
     run_cached,
     run_stats,
 )
+from repro.engines import base as engine_base
+from repro.engines import cache as engine_cache
 from repro.engines.profiles import ALL_PROFILES, STACK_VERSIONS
-from repro.errors import EngineError
+from repro.errors import EngineError, InvalidModule
 from repro.sim.memory import MIB
-from repro.wasm import assemble_wat
+from repro.wasm import assemble_wat, embed, parse_wat, validation
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +179,35 @@ class TestCache:
         assert (
             c1.module.funcs[0].prepared is c2.module.funcs[0].prepared is not None
         )
+
+    def test_cached_modules_are_validated_once(self, blob, monkeypatch):
+        # The decode and compile layers validate on a miss; runs of the
+        # modules they hand out must not validate again.
+        reset_caches()
+        engine = get_engine("wamr")
+        compiled = compile_cached(engine, blob)
+        embed.run_wasi(blob, args=["svc"])
+        calls = []
+        real = validation.validate_module
+
+        def counting(module):
+            calls.append(module)
+            return real(module)
+
+        for where in (embed, engine_cache, engine_base):
+            monkeypatch.setattr(where, "validate_module", counting)
+        for _ in range(5):
+            engine.run(compiled, args=["svc"])
+            embed.run_wasi(blob, args=["svc"])
+            embed.run_wasi(compile_cached(engine, blob).module, args=["svc"])
+        assert calls == []
+
+    def test_hand_built_module_is_validated_on_every_run(self):
+        # `i32.add` with an empty operand stack: parses, but is invalid.
+        module = parse_wat('(module (func (export "_start") (i32.add) (drop)))')
+        for _ in range(2):
+            with pytest.raises(InvalidModule):
+                embed.run_wasi(module)
 
     def test_reset_caches_zeroes_state(self, blob):
         engine = get_engine("wamr")

@@ -1,5 +1,9 @@
 """RNG streams and CPU pressure model."""
 
+import random
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.sim.cpu import CpuModel
@@ -30,6 +34,39 @@ class TestRngStreams:
     def test_jitter_is_nonnegative(self):
         r = RngStreams(3)
         assert all(r.jitter("j", 0.5) >= 0 for _ in range(100))
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_mixed_jitter_and_stream_match_a_kept_generator(self, trial):
+        # One-shot jitter names keep only a draw count; whatever order of
+        # jitter and stream calls follows, each name's draws must equal
+        # those of its own fresh generator.
+        rnd = random.Random(trial)
+        seed = rnd.randrange(2**31)
+        streams = RngStreams(seed)
+        reference = {}
+        for _ in range(40):
+            name = f"pod-{rnd.randrange(5)}/startup"
+            ref = reference.get(name)
+            if ref is None:
+                key = zlib.crc32(name.encode("utf-8"))
+                ref = reference[name] = np.random.default_rng(
+                    np.random.SeedSequence([seed, key])
+                )
+            if rnd.random() < 0.7:
+                scale = rnd.choice([0.001, 0.5, 3.0])
+                got = streams.jitter(name, scale)
+                assert got == abs(float(ref.normal(0.0, scale)))
+            else:
+                size = rnd.randrange(1, 4)
+                got = streams.stream(name).normal(size=size)
+                assert (got == ref.normal(size=size)).all()
+
+    def test_one_shot_jitter_keeps_no_generator(self):
+        r = RngStreams(7)
+        for i in range(100):
+            r.jitter(f"pod-{i}/startup", 1.0)
+        assert r._streams == {}
+        assert len(r._draws) == 100
 
     def test_fork_changes_draws(self):
         base = RngStreams(5)

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm import parse_wat, validate_module
 from repro.wasm.embed import run_wasi
+from repro.wasm.runtime import specialize
 from repro.wasm.runtime import (
     Interpreter,
     ReferenceInterpreter,
@@ -165,6 +166,56 @@ MODULES = {
           (block (result i32 i32) (i32.const 3) (i32.const 4))
           (i32.add)))
     """,
+    # Every pass-5 shape (inlined operator + fused consumer), i32 and i64.
+    "fusion_idioms": """
+        (module (func (export "run") (param $n i32) (result i64)
+          (local $i i32) (local $acc i32) (local $t i32) (local $w i64)
+          (block $done
+            (loop $top
+              (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+              (local.set $acc (i32.add (local.get $acc) (local.get $i)))
+              (local.set $t (i32.mul (local.get $i) (i32.const 0x9e3779b1)))
+              (local.set $acc
+                (i32.xor (local.get $acc) (i32.shr_s (local.get $t) (i32.const 3))))
+              (if (i32.lt_s (local.get $acc) (local.get $t))
+                (then (local.set $acc (i32.rotl (local.get $acc) (i32.const 5)))))
+              (if (i32.eq (local.get $i) (i32.const 7))
+                (then (local.set $acc (i32.sub (local.get $acc) (i32.const 1)))))
+              (local.set $t
+                (i32.and (i32.add (local.get $acc) (local.get $i)) (i32.const 255)))
+              (block $skip
+                (br_if $skip (i32.gt_u (i32.sub (local.get $acc) (local.get $t))
+                                       (i32.const 0x80000000)))
+                (local.set $acc (i32.shl (local.get $acc) (i32.const 1))))
+              (if (i32.le_u (i32.or (local.get $acc) (local.get $t)) (i32.const 0xffff))
+                (then (local.set $t (i32.const 1))))
+              (block $odd
+                (br_if $odd (i32.ne (i32.and (local.get $i) (i32.const 1)) (i32.const 0)))
+                (br_if $odd (i32.gt_s (local.get $t) (i32.const 200)))
+                (local.set $w
+                  (i64.rotr (i64.add (local.get $w) (i64.extend_i32_u (local.get $acc)))
+                            (i64.const 7))))
+              (block $cmp
+                (br_if $cmp (i32.lt_u (i32.rotr (local.get $acc) (i32.const 3))
+                                      (i32.shr_u (local.get $t) (i32.const 1))))
+                (local.set $w (i64.sub (local.get $w)
+                  (i64.shl (i64.extend_i32_s (local.get $t)) (i64.const 33)))))
+              (local.set $acc (i32.mul (i32.add (local.get $acc) (i32.const 3))
+                                       (i32.sub (local.get $t) (local.get $i))))
+              ;; the old $t is left on the stack below the tee that writes $t
+              (local.set $acc
+                (i32.xor (local.get $t)
+                         (local.tee $t (i32.add (local.get $t) (i32.const 1)))))
+              ;; operands from the real stack, below generic (clz/popcnt) code
+              (local.set $t (i32.add (i32.clz (local.get $t)) (i32.popcnt (local.get $acc))))
+              (local.set $acc (i32.xor (local.get $acc) (i32.wrap_i64 (local.get $w))))
+              (block $z
+                (br_if $z (i32.eqz (i32.and (local.get $acc) (i32.const 3))))
+                (local.set $w (i64.xor (local.get $w) (i64.const -1))))
+              (local.set $i (i32.add (local.get $i) (i32.const 1)))
+              (br $top)))
+          (i64.xor (local.get $w) (i64.extend_i32_u (local.get $acc)))))
+    """,
     "loop_with_result": """
         (module (func (export "run") (param i32) (result i32)
           (loop $l (result i32) (local.get 0))))
@@ -257,6 +308,43 @@ class TestFuelAgrees:
         cost = self._count(7)
         for fuel in [0, 1, 2, 3, cost - 2, cost - 1, cost, cost + 1]:
             check(self.SRC, args=(7,), fuel=fuel)
+
+    def test_every_budget_through_fused_inline_handlers(self):
+        # Pass 5 compiles windows of pure integer code into one inlined
+        # handler. At every budget from 0 past the exact cost the
+        # specialized run must stop where the reference does, with the
+        # same partial count, or finish with the same result.
+        src = MODULES["fusion_idioms"]
+        ref_mod = validate_module(parse_wat(src))
+        spec_mod = validate_module(parse_wat(src))
+        prepare_module(spec_mod)
+        specialize_module(spec_mod).attach(spec_mod)
+        generated = set(specialize._GENERATED.values())
+        names = [h.__name__ for h, _a, _w in spec_mod.funcs[0].prepared.code
+                 if h in generated]
+        # every sink, a window starting on real-stack operands, and the
+        # unary, signed and shift operators all occur
+        for end in ("_set", "_tee", "_br_if", "_lt_s_if"):
+            assert any(n.endswith(end) for n in names), end
+        assert any(n.startswith("h_i32_add") for n in names)
+        for op in ("i32_eqz", "i32_wrap_i64", "i64_extend_i32_u",
+                   "i64_extend_i32_s", "i32_shr_s", "i32_lt_s", "i64_rotr"):
+            assert any(op in n for n in names), op
+
+        def observe(cls, module, fuel):
+            store = Store()
+            interp = cls(store, fuel=fuel)
+            try:
+                out = interp.invoke_export(instantiate(store, module), "run", [9])
+            except ExhaustionError as e:
+                out = str(e)
+            return out, interp.instructions_executed, interp.fuel
+
+        cost = observe(ReferenceInterpreter, ref_mod, None)[1]
+        for fuel in range(cost + 2):
+            ref = observe(ReferenceInterpreter, ref_mod, fuel)
+            assert observe(Interpreter, spec_mod, fuel) == ref, fuel
+        assert ref[0] != "fuel exhausted"
 
     def test_fuel_boundary_in_memory_loop(self):
         src = MODULES["memory_churn"]

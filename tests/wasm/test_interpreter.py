@@ -1,12 +1,18 @@
 """Interpreter semantics: numerics, control flow, memory, calls, traps."""
 
 import math
+import sys
 
 import pytest
 
 from repro.errors import ExhaustionError, WasmTrap
 from repro.wasm import parse_wat, validate_module
-from repro.wasm.runtime import Interpreter, Store, instantiate
+from repro.wasm.runtime import (
+    Interpreter,
+    ReferenceInterpreter,
+    Store,
+    instantiate,
+)
 
 
 def run(src: str, func: str = "run", args=(), fuel=None):
@@ -505,3 +511,19 @@ class TestGlobals:
         assert interp.invoke_export(inst, "bump") == [1]
         assert interp.invoke_export(inst, "bump") == [2]
         assert interp.invoke_export(inst, "bump") == [3]
+
+
+@pytest.mark.parametrize("cls", [Interpreter, ReferenceInterpreter])
+def test_recursion_limit_restored_after_deepest_guest(cls):
+    # Guest calls recurse on the Python stack, so invoke raises the
+    # process recursion limit; it must hand the old limit back even when
+    # the guest dies at max_call_depth.
+    module = validate_module(parse_wat('(module (func $f (export "run") (call $f)))'))
+    before = sys.getrecursionlimit()
+    store = Store()
+    interp = cls(store)
+    inst = instantiate(store, module)
+    with pytest.raises(ExhaustionError, match="call stack exhausted"):
+        interp.invoke_export(inst, "run")
+    assert interp._depth == 0
+    assert sys.getrecursionlimit() == before
