@@ -9,17 +9,14 @@ the other trajectory artifacts):
   both are simulated-time measurements of the same seed, so the ratio is
   machine-independent;
 * per-container memory through both channels for the two runs;
-* the pinned pre-PR cold baseline for trajectory context;
-* an opt-out sanity check: with ``REPRO_ZYGOTE=off`` the zygote config
-  degrades to crun-wamr's startup constants.
+* the pinned cold baseline from before the warm path existed, for
+  trajectory context.
 """
 
 import json
-import os
 
 from conftest import OUTPUT_DIR, SEED, emit
 
-from repro.measure.experiment import ExperimentRunner
 from repro.measure.zygote import run_zygote_experiment
 
 #: Cold-path reference measured at the seed of this PR (commit 7feca1f):
@@ -38,12 +35,7 @@ STARTUP_SPEEDUP_FLOOR = 2.0
 
 def test_bench_zygote_json():
     """Emit BENCH_zygote.json and hold the warm-start speedup floor."""
-    os.environ["REPRO_ZYGOTE"] = "on"
-    try:
-        comp = run_zygote_experiment(seed=SEED, count=400)
-        off = _opt_out_makespan()
-    finally:
-        del os.environ["REPRO_ZYGOTE"]
+    comp = run_zygote_experiment(seed=SEED, count=400)
 
     report = {
         "pinned_baseline": PINNED_BASELINE,
@@ -66,10 +58,6 @@ def test_bench_zygote_json():
             "warm_free": round(comp.warm.free_mib, 3),
             "ratio_metrics": round(comp.memory_ratio, 3),
         },
-        "opt_out": {
-            "zygote_off_seconds": round(off, 4),
-            "cold_seconds": round(comp.cold.startup_seconds, 4),
-        },
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_zygote.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -83,9 +71,6 @@ def test_bench_zygote_json():
                 f"{s['warm_seconds']:.2f} s warm ({s['speedup']:.2f}x)",
                 f"[zygote] memory/container: {m['cold_metrics']:.2f} MiB cold vs "
                 f"{m['warm_metrics']:.2f} MiB warm ({m['ratio_metrics']:.2f}x)",
-                f"[zygote] REPRO_ZYGOTE=off makespan: "
-                f"{report['opt_out']['zygote_off_seconds']:.2f} s "
-                f"(cold path: {s['cold_seconds']:.2f} s)",
             ]
         ),
     )
@@ -97,14 +82,3 @@ def test_bench_zygote_json():
     )
     assert comp.warm.metrics_mib < comp.cold.metrics_mib
     assert comp.warm.free_mib < comp.cold.free_mib
-    # Opt-out: within the jitter envelope of the cold path (streams are
-    # keyed by config-prefixed container ids, so not bit-equal).
-    assert abs(off - comp.cold.startup_seconds) < 0.05 * comp.cold.startup_seconds
-
-
-def _opt_out_makespan() -> float:
-    os.environ["REPRO_ZYGOTE"] = "off"
-    try:
-        return ExperimentRunner(seed=SEED).run("crun-wamr-zygote", 400).startup_seconds
-    finally:
-        os.environ["REPRO_ZYGOTE"] = "on"

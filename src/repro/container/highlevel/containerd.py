@@ -37,7 +37,6 @@ from repro.oci.bundle import Bundle, build_bundle
 from repro.sim.faults import FaultPoint
 from repro.sim.kernel import Acquire, Release, Timeout
 from repro.sim.process import SimProcess
-from repro.wasm.runtime import zygote_enabled
 
 
 @dataclass
@@ -150,7 +149,7 @@ class Containerd:
         if handle is None:
             raise ContainerError(f"no sandbox for pod {pod_uid}")
         profile = startup_profile(config_id)
-        zygote_on = getattr(config, "zygote", False) and zygote_enabled()
+        zygote_on = getattr(config, "zygote", False)
 
         # Image pull (warm after the first pod of a deployment). The
         # injection point models registry/transport flakes, which occur

@@ -8,17 +8,15 @@ under ``repro`` — any source change silently invalidates the whole cache
 (stale files are just never read again).
 
 Layout: one JSON file per measurement,
-``<root>/<digest16>_<toggles8>_<seed>_<config>_<count>.json``. JSON
+``<root>/<digest16>_<seed>_<config>_<count>.json``. JSON
 float serialization round-trips exactly (repr-based), so a cache hit is
 byte-identical to the simulation it replaced — rendered figures and
-campaign summaries cannot drift between cold and warm runs.
-
-``<toggles8>`` fingerprints the runtime toggles that change what a
-simulation computes — ``REPRO_ZYGOTE`` and ``REPRO_MEMORY_ACCOUNTING``
-— so a run cached under one toggle combination is never served under
-another. Entries also record the
-wall-clock seconds the simulation took, which the campaign engine reads
-as per-cell cost estimates for longest-expected-cost-first scheduling.
+campaign summaries cannot drift between cold and warm runs. No
+environment setting changes what a simulation computes (the config id
+alone selects the variant, e.g. ``crun-wamr-zygote``), so the key needs
+nothing else. Entries also record the wall-clock seconds the simulation
+took, which the campaign engine reads as per-cell cost estimates for
+longest-expected-cost-first scheduling.
 
 The root directory resolves, in order: an explicit constructor argument,
 ``$REPRO_MEASURE_CACHE`` (the value ``off`` disables caching entirely),
@@ -58,29 +56,6 @@ def source_tree_digest() -> str:
             h.update(path.read_bytes())
         _digest_cache = h.hexdigest()
     return _digest_cache
-
-
-def runtime_toggles() -> Dict[str, str]:
-    """The env toggles (normalized) that alter what a simulation computes.
-
-    Values resolve through each subsystem's own parser so equivalent
-    spellings (unset vs explicit default, ``1`` vs ``on``) fingerprint
-    identically.
-    """
-    from repro.sim.memory import ACCOUNTING_ENV
-    from repro.wasm.runtime.snapshot import zygote_enabled
-
-    return {
-        "accounting": os.environ.get(ACCOUNTING_ENV, "incremental"),
-        "zygote": "on" if zygote_enabled() else "off",
-    }
-
-
-def toggle_fingerprint() -> str:
-    """Short stable digest of :func:`runtime_toggles` for cache filenames."""
-    toggles = runtime_toggles()
-    raw = ",".join(f"{k}={toggles[k]}" for k in sorted(toggles))
-    return hashlib.sha256(raw.encode()).hexdigest()[:8]
 
 
 def measurement_to_dict(m: DeploymentMeasurement) -> Dict:
@@ -145,10 +120,7 @@ class MeasurementCache:
         self.root = pathlib.Path(root)
 
     def _path(self, seed: int, config: str, count: int) -> pathlib.Path:
-        return self.root / (
-            f"{source_tree_digest()[:16]}_{toggle_fingerprint()}"
-            f"_{seed}_{config}_{count}.json"
-        )
+        return self.root / f"{source_tree_digest()[:16]}_{seed}_{config}_{count}.json"
 
     def get(self, seed: int, config: str, count: int) -> Optional[DeploymentMeasurement]:
         path = self._path(seed, config, count)
@@ -159,31 +131,15 @@ class MeasurementCache:
         return measurement_from_dict(data["measurement"])
 
     def cost_estimate(self, seed: int, config: str, count: int) -> Optional[float]:
-        """Wall-clock seconds a prior run of this cell took, if recorded.
-
-        Read across *all* toggle fingerprints: a cell's relative cost is
-        stable under toggles even when its results are not, so any prior
-        entry is a usable scheduling estimate.
-        """
-        digest = source_tree_digest()[:16]
-        suffix = f"_{seed}_{config}_{count}.json"
-        exact = self._path(seed, config, count)
-        candidates = [exact]
+        """Wall-clock seconds a prior run of this cell took, if recorded."""
         try:
-            candidates += [
-                p
-                for p in self.root.glob(f"*{suffix}")
-                if p != exact and p.name.startswith(digest)
-            ]
-        except OSError:
-            pass
-        for path in candidates:
-            try:
-                wall = json.loads(path.read_text()).get("wall_seconds")
-            except (OSError, ValueError):
-                continue
-            if isinstance(wall, (int, float)) and wall > 0:
-                return float(wall)
+            wall = json.loads(self._path(seed, config, count).read_text()).get(
+                "wall_seconds"
+            )
+        except (OSError, ValueError):
+            return None
+        if isinstance(wall, (int, float)) and wall > 0:
+            return float(wall)
         return None
 
     def put(
@@ -197,7 +153,6 @@ class MeasurementCache:
         path = self._path(seed, config, count)
         payload = {
             "source_digest": source_tree_digest(),
-            "toggles": runtime_toggles(),
             "seed": seed,
             "wall_seconds": wall_seconds,
             "measurement": measurement_to_dict(m),

@@ -15,27 +15,19 @@ caller's pair order (workers race, the merge order never does).
 memo (`repro.measure.experiment.measure`) with the figure generators —
 the default for library callers and tests. The CLI auto-detects
 ``--jobs`` from the CPU count.
-
-:func:`legacy_run_matrix` preserves the PR 3 runner verbatim — a
-throwaway ``ProcessPoolExecutor`` that cold-starts every worker — as the
-recorded baseline ``benchmarks/test_campaign2.py`` measures the engine
-against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
-from repro.measure.cache import MeasurementCache, default_cache
-from repro.measure.experiment import DeploymentMeasurement, ExperimentRunner, measure
+from repro.measure.experiment import DeploymentMeasurement
 from repro.measure.series import Cell, DEFAULT_CACHE, auto_jobs, execute_cells
 
 __all__ = [
     "DEFAULT_CACHE",
     "MatrixKey",
     "auto_jobs",
-    "legacy_run_matrix",
     "run_matrix",
 ]
 
@@ -52,7 +44,7 @@ def run_matrix(
 
     Results are keyed by pair and merged in the caller's pair order
     regardless of worker completion order. Cache hits (same source tree,
-    toggles, seed, config, density) are returned without simulating;
+    seed, config, density) are returned without simulating;
     misses are simulated and written back. With telemetry enabled, the
     workers' metrics/span deltas merge back deterministically, so
     ``--trace-out``/``--metrics-out`` work at any ``--jobs N``.
@@ -66,64 +58,3 @@ def run_matrix(
     return {
         (cell.config, cell.count): results[cell.key] for cell in cells
     }
-
-
-# -- PR 3 baseline (kept verbatim for benchmarks) ------------------------------
-
-
-def _run_one(task: Tuple[int, str, int]) -> DeploymentMeasurement:
-    """Pool worker: one full deployment experiment (top-level for pickling)."""
-    seed, config, count = task
-    return ExperimentRunner(seed=seed).run(config, count)
-
-
-def legacy_run_matrix(
-    pairs: Iterable[MatrixKey],
-    seed: int = 1,
-    jobs: int = 1,
-    cache=DEFAULT_CACHE,
-) -> Dict[MatrixKey, DeploymentMeasurement]:
-    """The PR 3 runner: one throwaway ``ProcessPoolExecutor`` per call.
-
-    Every worker cold-starts the engine caches and rebuilds the workload
-    images; telemetry recorded in workers is lost. Retained unchanged as
-    the baseline the campaign-engine benchmark quantifies its speedup
-    against — not for new callers.
-    """
-    pairs = list(dict.fromkeys(pairs))
-    if jobs <= 0:
-        jobs = auto_jobs()
-    store: Optional[MeasurementCache] = (
-        default_cache() if cache is DEFAULT_CACHE else cache
-    )
-
-    results: Dict[MatrixKey, DeploymentMeasurement] = {}
-    misses: List[MatrixKey] = []
-    if jobs == 1:
-        if store is None:
-            return {
-                (config, count): ExperimentRunner(seed=seed).run(config, count)
-                for config, count in pairs
-            }
-        return {(config, count): measure(config, count, seed=seed) for config, count in pairs}
-
-    if store is not None:
-        for config, count in pairs:
-            hit = store.get(seed, config, count)
-            if hit is not None:
-                results[(config, count)] = hit
-            else:
-                misses.append((config, count))
-    else:
-        misses = list(pairs)
-
-    if misses:
-        workers = min(jobs, len(misses))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = pool.map(_run_one, [(seed, c, n) for c, n in misses])
-            for key, m in zip(misses, fresh):
-                results[key] = m
-                if store is not None:
-                    store.put(seed, key[0], key[1], m)
-
-    return {key: results[key] for key in pairs}

@@ -38,7 +38,7 @@ of the series seed and the cell coordinates (stable across processes and
 expansions, unlike ``hash()``).
 
 Resume: :class:`SeriesManifest` journals completed cells keyed by the
-source-tree digest, toggle fingerprint, seed, and expanded-cell digest.
+source-tree digest, seed, and expanded-cell digest.
 An interrupted series re-run with the same manifest reloads finished
 deploy cells from the measurement cache and re-runs only the remainder;
 summaries are byte-identical because cache hits round-trip exactly.
@@ -61,7 +61,6 @@ from repro.errors import SeriesError
 from repro.measure.cache import (
     MeasurementCache,
     default_cache,
-    runtime_toggles,
     source_tree_digest,
 )
 from repro.measure.experiment import DENSITIES, ExperimentRunner, measure
@@ -493,7 +492,7 @@ class SeriesManifest:
     """Per-cell completion journal making interrupted series resumable.
 
     The manifest is only honored when its identity header — series name,
-    seed, source-tree digest, runtime-toggle set, and the digest of the
+    seed, source-tree digest, and the digest of the
     expanded cell list — matches the current run; any mismatch starts a
     fresh journal (the old one would describe different experiments).
     Completed *deploy* cells resume from the measurement cache; kinds
@@ -518,7 +517,6 @@ class SeriesManifest:
             "series": series,
             "seed": seed,
             "source_digest": source_tree_digest()[:16],
-            "toggles": runtime_toggles(),
             "cells_digest": self._cells_digest(cells),
         }
         try:

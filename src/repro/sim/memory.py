@@ -19,21 +19,17 @@ updated on every segment mutation via the :class:`~repro.sim.process.SimProcess`
 observer hooks. ``map_private`` admission, ``free_report()``,
 ``node_working_set()`` are O(1); ``cgroup_working_set()`` is O(cgroups +
 files) instead of O(processes × segments). The pre-incremental full-scan
-implementations survive as :class:`ReferenceAccountant`, and the model can
-run in three modes (``REPRO_MEMORY_ACCOUNTING`` or the ``accounting``
-constructor argument):
-
-* ``incremental`` — running counters only (default, fast path),
-* ``reference``   — answer every query with a full scan (the old behavior;
-  used to benchmark the speedup),
-* ``audit``       — compute both and raise :class:`SimulationError` on any
-  byte-level disagreement (mirrors the PR 2 ``ReferenceInterpreter``
-  differential-testing pattern; exercised by the hypothesis suite).
+implementations survive as :class:`ReferenceAccountant`, the oracle.
+Constructed with ``audit=True`` (the tests do; the simulator never does),
+the model also computes every query's full-scan answer — batched
+working-set queries included — and raises :class:`SimulationError` on any
+byte-level disagreement (the ``ReferenceInterpreter`` differential-testing
+pattern; exercised by the hypothesis suite). :meth:`verify_accounting`
+walks the whole ledger against the oracle at once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -44,11 +40,6 @@ from repro.sim.process import MemorySegment, SegmentKind, SimProcess
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
-
-ACCOUNTING_MODES = ("incremental", "reference", "audit")
-
-#: environment knob consulted when the constructor gets no explicit mode
-ACCOUNTING_ENV = "REPRO_MEMORY_ACCOUNTING"
 
 
 @dataclass(frozen=True)
@@ -155,17 +146,11 @@ class SystemMemoryModel:
         self,
         total_bytes: int = 256 * GIB,
         kernel_base: int = 600 * MIB,
-        accounting: Optional[str] = None,
+        audit: bool = False,
     ) -> None:
         if total_bytes <= 0:
             raise SimulationError("total_bytes must be positive")
-        if accounting is None:
-            accounting = os.environ.get(ACCOUNTING_ENV, "incremental")
-        if accounting not in ACCOUNTING_MODES:
-            raise SimulationError(
-                f"unknown accounting mode {accounting!r}; pick one of {ACCOUNTING_MODES}"
-            )
-        self.accounting = accounting
+        self.audit = audit
         self.total_bytes = total_bytes
         # Kernel text/slab base plus per-pod kernel overhead added later.
         self.kernel_bytes = kernel_base
@@ -422,15 +407,13 @@ class SystemMemoryModel:
     # -- audit plumbing ----------------------------------------------------------
 
     def _checked(self, what, incremental, reference_fn):
-        """Route one query through the active accounting mode.
+        """Return the ledger answer ``incremental`` of one query.
 
-        ``incremental`` is the ledger answer; ``reference_fn`` produces the
-        full-scan answer and is only evaluated outside incremental mode.
+        In audit mode ``reference_fn`` produces the full-scan answer first,
+        and any disagreement raises :class:`SimulationError`.
         """
-        if self.accounting == "incremental":
-            return incremental
-        reference = reference_fn()
-        if self.accounting == "audit":
+        if self.audit:
+            reference = reference_fn()
             if incremental != reference:
                 self._a_drift.inc()
                 raise SimulationError(
@@ -438,7 +421,7 @@ class SystemMemoryModel:
                     f"reference={reference}"
                 )
             self._a_ok.inc()
-        return reference
+        return incremental
 
     def verify_accounting(self) -> None:
         """Cross-check every ledger entry against the reference accountant.
@@ -523,12 +506,10 @@ class SystemMemoryModel:
 
     def _charged_cgroup(self, file_key: str) -> Optional[str]:
         """Cgroup paying for a shared file: the first *live* mapper's."""
-        if self.accounting == "incremental":
-            return self._file_owner.get(file_key)
-        reference = self.reference.charged_cgroup(file_key)
-        if self.accounting == "audit" and self._file_owner.get(file_key) != reference:
+        owner = self._file_owner.get(file_key)
+        if self.audit and owner != self.reference.charged_cgroup(file_key):
             raise SimulationError(f"accounting drift in charged cgroup of {file_key!r}")
-        return reference
+        return owner
 
     def _cgroup_working_set_incremental(self, cgroup_prefix: str) -> int:
         total = 0
@@ -559,11 +540,10 @@ class SystemMemoryModel:
         Equivalent to calling ``cgroup_working_set`` per prefix (including
         overlap behavior: a byte charged under two matching prefixes counts
         toward both), but visits each ledger entry once, testing only the
-        entry's own string truncations against the prefix set.
+        entry's own string truncations against the prefix set. Audit mode
+        checks every batched total against the oracle's per-prefix scan.
         """
         prefixes = set(cgroup_prefixes)
-        if self.accounting != "incremental":
-            return {p: self.cgroup_working_set(p) for p in sorted(prefixes)}
         self._q_cgroup.inc(len(prefixes))
         totals = {p: 0 for p in prefixes}
 
@@ -579,6 +559,13 @@ class SystemMemoryModel:
         for file_key, owner in self._file_owner.items():
             if owner is not None:
                 credit(owner, self._file_sizes[file_key])
+        if self.audit:
+            for p in sorted(prefixes):
+                self._checked(
+                    f"cgroup_working_set({p!r})",
+                    totals[p],
+                    lambda p=p: self.reference.cgroup_working_set(p),
+                )
         return totals
 
     def node_working_set(self) -> int:

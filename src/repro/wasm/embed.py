@@ -12,8 +12,8 @@ bounds-check elision, inline caches), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to
-a cold instantiation, including instruction and fuel metering. Disable
-with ``REPRO_ZYGOTE=off``.
+a cold instantiation, including instruction and fuel metering. Pass
+``zygote=False`` to force the cold path for one run.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.wasm.runtime.snapshot import (
     dirty_memory_bytes,
     restore_instance,
     verify_snapshot,
-    zygote_enabled,
 )
 from repro.wasm.validation import validate_module
 from repro.wasm.wasi import InMemoryFilesystem, WasiEnv
@@ -169,7 +168,7 @@ def run_wasi(
     clock_ns: Optional[Callable[[], int]] = None,
     entrypoint: str = "_start",
     interpreter_cls: type = Interpreter,
-    zygote: Optional[bool] = None,
+    zygote: bool = True,
     digest: Optional[str] = None,
 ) -> WasiRunResult:
     """Execute a WASI command module to completion.
@@ -186,8 +185,8 @@ def run_wasi(
         entrypoint: exported function to call (``_start`` for commands).
         interpreter_cls: interpreter implementation (the differential
             tests pass ``ReferenceInterpreter`` here).
-        zygote: force zygote warm-start on/off for this run (default:
-            the ``REPRO_ZYGOTE`` environment toggle).
+        zygote: use the zygote warm-start path (``False`` forces a cold
+            instantiation; the differential tests' reference).
         digest: content digest of ``module`` if the caller knows it
             (derived automatically for ``bytes`` input); keys the zygote
             snapshot layer. Without a digest the run is always cold.
@@ -204,10 +203,9 @@ def run_wasi(
     elif not engine_cache.cache_validated(module):
         validate_module(module)
 
-    use_zygote = zygote_enabled() if zygote is None else bool(zygote)
     snapshot: Optional[InstanceSnapshot] = None
     capture = False
-    if use_zygote and digest is not None:
+    if zygote and digest is not None:
         snapshot = engine_cache.zygote_get(digest)
         if snapshot is not None:
             ctx = faults.ambient()
@@ -351,6 +349,6 @@ def run_wasi(
         instance=instance,
         store=store,
         restored=restored,
-        zygote_digest=digest if use_zygote else None,
+        zygote_digest=digest if zygote else None,
         dirty_memory_bytes=dirty,
     )

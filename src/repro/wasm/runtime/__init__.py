@@ -37,7 +37,6 @@ from repro.wasm.runtime.snapshot import (
     dirty_memory_bytes,
     restore_instance,
     verify_snapshot,
-    zygote_enabled,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "dirty_memory_bytes",
     "restore_instance",
     "verify_snapshot",
-    "zygote_enabled",
     "Store",
     "ModuleInstance",
     "FuncInstance",

@@ -1,14 +1,19 @@
 """Zygote warm-start end-to-end: deployment experiments on the testbed.
 
-Asserts the three properties the PR promises: the zygote configuration
-converges functionally, beats cold crun-wamr on both startup and memory,
-and — the acceptance criterion — leaves every non-zygote measurement
-byte-identical whether ``REPRO_ZYGOTE`` is on or off.
+Asserts three properties: the zygote configuration converges
+functionally, beats cold crun-wamr on both startup and memory, and —
+the acceptance criterion — every non-zygote measurement is
+byte-identical whether the engine restores guests from snapshots or
+instantiates every one cold (``run_wasi(zygote=False)``).
 """
+
+import functools
 
 import pytest
 
+from repro.engines.cache import reset_caches
 from repro.measure.experiment import ExperimentRunner
+from repro.wasm.embed import run_wasi
 
 DENSITY = 15
 
@@ -19,52 +24,43 @@ def runner():
 
 
 class TestZygoteDeployment:
-    def test_runs_to_ready(self, runner, monkeypatch):
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
+    def test_runs_to_ready(self, runner):
         m = runner.run("crun-wamr-zygote", DENSITY)
         assert m.ready_fraction == 1.0
         assert set(m.exit_codes) == {0}
 
-    def test_leaner_than_cold_crun_wamr(self, runner, monkeypatch):
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
+    def test_leaner_than_cold_crun_wamr(self, runner):
         cold = runner.run("crun-wamr", DENSITY)
         warm = runner.run("crun-wamr-zygote", DENSITY)
         # The COW snapshot replaces most per-container private memory.
         assert warm.metrics_mib < 0.7 * cold.metrics_mib
         assert warm.free_mib < cold.free_mib
 
-    def test_faster_at_density(self, runner, monkeypatch):
+    def test_faster_at_density(self, runner):
         # The startup win comes from the serialized-phase growth term, so
         # measure at a density where it dominates.
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
         cold = runner.run("crun-wamr", 100)
         warm = runner.run("crun-wamr-zygote", 100)
         assert warm.startup_seconds < cold.startup_seconds
 
-    def test_opt_out_restores_cold_behaviour(self, runner, monkeypatch):
-        # REPRO_ZYGOTE=off: the zygote config degrades to plain crun-wamr
-        # constants (same profile, same memory model). Jitter streams are
-        # keyed by container id (config-prefixed), so compare within the
-        # jitter envelope rather than exactly.
-        monkeypatch.setenv("REPRO_ZYGOTE", "off")
-        plain = runner.run("crun-wamr", DENSITY)
-        off = runner.run("crun-wamr-zygote", DENSITY)
-        assert off.metrics_mib == pytest.approx(plain.metrics_mib, rel=0.05)
-        assert off.startup_seconds == pytest.approx(plain.startup_seconds, rel=0.05)
+
+def _default_and_forced_cold(monkeypatch, config):
+    reset_caches()
+    default = ExperimentRunner(seed=7).run(config, DENSITY)
+    monkeypatch.setattr(
+        "repro.engines.base.run_wasi", functools.partial(run_wasi, zygote=False)
+    )
+    reset_caches()
+    cold = ExperimentRunner(seed=7).run(config, DENSITY)
+    return default, cold
 
 
 class TestByteIdenticalAcceptance:
     def test_non_zygote_configs_unaffected_by_toggle(self, monkeypatch):
-        """Figure/summary inputs must not move when the feature is on."""
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
-        with_zygote = ExperimentRunner(seed=7).run("crun-wamr", DENSITY)
-        monkeypatch.setenv("REPRO_ZYGOTE", "off")
-        without = ExperimentRunner(seed=7).run("crun-wamr", DENSITY)
-        assert with_zygote == without  # full dataclass equality
+        """Figure/summary inputs must not move with the engine's warm path."""
+        default, cold = _default_and_forced_cold(monkeypatch, "crun-wamr")
+        assert default == cold  # full dataclass equality
 
     def test_python_baseline_unaffected_by_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
-        with_zygote = ExperimentRunner(seed=7).run("runc-python", DENSITY)
-        monkeypatch.setenv("REPRO_ZYGOTE", "off")
-        without = ExperimentRunner(seed=7).run("runc-python", DENSITY)
-        assert with_zygote == without
+        default, cold = _default_and_forced_cold(monkeypatch, "runc-python")
+        assert default == cold

@@ -1,18 +1,24 @@
 """Parallel experiment scheduler + persistent measurement cache."""
 
+import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.measure.cache import (
     MeasurementCache,
     measurement_from_dict,
     measurement_to_dict,
     source_tree_digest,
-    toggle_fingerprint,
 )
 from repro.measure.experiment import ExperimentRunner, measure
-from repro.measure.parallel import auto_jobs, legacy_run_matrix, run_matrix
+from repro.measure.parallel import auto_jobs, run_matrix
+from repro.sim.memory import SystemMemoryModel
 
 PAIRS = [("crun-wamr", 10), ("crun-python", 10)]
 
@@ -45,12 +51,6 @@ class TestRunMatrix:
     def test_auto_jobs_positive(self):
         assert auto_jobs() >= 1
 
-    def test_legacy_runner_matches_engine(self, sequential, tmp_path):
-        legacy = legacy_run_matrix(
-            PAIRS, seed=1, jobs=2, cache=MeasurementCache(tmp_path / "legacy")
-        )
-        assert legacy == sequential
-
 
 class TestMeasurementCache:
     def test_roundtrip_is_exact(self, sequential, tmp_path):
@@ -78,33 +78,6 @@ class TestMeasurementCache:
         # stale entry is simply never read again.
         payload = json.loads(entry.read_text())
         assert payload["source_digest"] == source_tree_digest()
-
-    def test_toggle_flip_is_a_cache_miss(self, sequential, tmp_path, monkeypatch):
-        """A run cached under one REPRO_* toggle combination must never be
-        served under another: the toggles are part of the cache key."""
-        cache = MeasurementCache(tmp_path / "cache")
-        m = sequential[("crun-wamr", 10)]
-        cache.put(1, "crun-wamr", 10, m)
-        assert cache.get(1, "crun-wamr", 10) == m
-        baseline = toggle_fingerprint()
-        for env, value in (
-            ("REPRO_ZYGOTE", "off"),
-            ("REPRO_MEMORY_ACCOUNTING", "reference"),
-        ):
-            monkeypatch.setenv(env, value)
-            assert toggle_fingerprint() != baseline, env
-            assert cache.get(1, "crun-wamr", 10) is None, env
-            monkeypatch.delenv(env)
-        assert cache.get(1, "crun-wamr", 10) == m
-
-    def test_equivalent_toggle_spellings_share_entries(self, sequential, tmp_path, monkeypatch):
-        cache = MeasurementCache(tmp_path / "cache")
-        m = sequential[("crun-wamr", 10)]
-        cache.put(1, "crun-wamr", 10, m)
-        # Explicit defaults fingerprint identically to unset toggles.
-        monkeypatch.setenv("REPRO_ZYGOTE", "on")
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "incremental")
-        assert cache.get(1, "crun-wamr", 10) == m
 
     def test_wall_seconds_recorded_for_cost_estimates(self, sequential, tmp_path):
         cache = MeasurementCache(tmp_path / "cache")
@@ -261,11 +234,54 @@ class TestTimeseriesJobsIdentity:
 
 class TestAuditModeExperiments:
     def test_audit_measurement_identical_to_default(self, sequential, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "audit")
+        # Audit raises on any ledger drift, so equality here also means
+        # every query of the experiment agreed with the full-scan oracle.
+        monkeypatch.setattr(
+            "repro.k8s.cluster.SystemMemoryModel",
+            functools.partial(SystemMemoryModel, audit=True),
+        )
         audited = ExperimentRunner(seed=1).run("crun-wamr", 10)
         assert audited == sequential[("crun-wamr", 10)]
 
-    def test_reference_measurement_identical_to_default(self, sequential, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "reference")
-        referenced = ExperimentRunner(seed=1).run("crun-wamr", 10)
-        assert referenced == sequential[("crun-wamr", 10)]
+
+#: retired environment toggles; exporting them must change nothing
+_RETIRED_TOGGLES = {
+    "REPRO_ZYGOTE": "off",
+    "REPRO_MEMORY_ACCOUNTING": "reference",
+    "REPRO_TELEMETRY": "on",
+}
+
+_PROBE = """
+import json, pathlib, sys
+from repro import obs
+from repro.measure.cache import MeasurementCache, measurement_to_dict
+from repro.measure.experiment import ExperimentRunner
+m = ExperimentRunner(seed=1).run("crun-wamr-zygote", 10)
+path = MeasurementCache(pathlib.Path(sys.argv[1]))._path(1, "crun-wamr-zygote", 10)
+print(json.dumps({"enabled": obs.enabled(), "path": str(path),
+                  "measurement": measurement_to_dict(m)}))
+"""
+
+
+class TestRetiredToggles:
+    def test_exported_toggles_change_nothing(self, tmp_path):
+        """A user who still exports an old toggle gets the default run."""
+        clean = ExperimentRunner(seed=1).run("crun-wamr-zygote", 10)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, **_RETIRED_TOGGLES)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _PROBE, str(tmp_path)],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        probe = json.loads(out)
+        assert probe["enabled"] is False
+        assert probe["path"] == str(
+            MeasurementCache(tmp_path)._path(1, "crun-wamr-zygote", 10)
+        )
+        assert measurement_from_dict(probe["measurement"]) == clean

@@ -3,7 +3,8 @@
 Drives random spawn / map_private / map_file / map_cow / cow_split /
 resize_segment / drop_segment / exit / touch_page_cache / drop_page_cache
 sequences
-against a model in **audit** mode (every query already cross-checks) and
+against a model in **audit** mode (every query, batched working sets
+included, already cross-checks) and
 additionally calls ``verify_accounting()`` after every step, which
 compares the running counters byte-for-byte against full recomputation:
 free-report components, node working set, every cgroup working set, and
@@ -17,7 +18,16 @@ from hypothesis import strategies as st
 from repro.sim.memory import MIB, SystemMemoryModel
 from repro.sim.process import SegmentKind
 
-CGROUPS = ["/", "/kubepods/pod-a", "/kubepods/pod-b", "/system.slice/containerd"]
+#: includes the nested prefixes "" and "/kubepods", so the batched
+#: working-set query credits one byte to several overlapping prefixes
+CGROUPS = [
+    "",
+    "/",
+    "/kubepods",
+    "/kubepods/pod-a",
+    "/kubepods/pod-b",
+    "/system.slice/containerd",
+]
 #: fixed size per shared file — mappings of one key must agree on size
 FILES = {"libA.so": 3 * MIB, "libB.so": 5 * MIB, "app.aot": 1 * MIB}
 #: fixed size per zygote snapshot — COW clones must agree on the extent
@@ -28,7 +38,7 @@ class AccountingMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         self.model = SystemMemoryModel(
-            total_bytes=1 << 50, kernel_base=0, accounting="audit"
+            total_bytes=1 << 50, kernel_base=0, audit=True
         )
         self.procs = []
 

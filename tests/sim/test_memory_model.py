@@ -303,8 +303,8 @@ class TestCowSegments:
             MemorySegment(SegmentKind.PRIVATE, 10, cow_dirty=1)
 
     def test_audit_mode_cross_checks_cow(self):
-        for mode in ("incremental", "reference", "audit"):
-            m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting=mode)
+        for audit in (False, True):
+            m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, audit=audit)
             p1 = m.spawn("a", cgroup="/pods/a")
             p2 = m.spawn("b", cgroup="/pods/b")
             m.map_cow(p1, "zygote/svc", 4 * MIB)
@@ -336,33 +336,28 @@ class TestAccountingModes:
 
     def test_reference_and_audit_agree_with_incremental(self):
         answers = {
-            mode: self._scenario(
-                SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting=mode)
+            audit: self._scenario(
+                SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, audit=audit)
             )
-            for mode in ("incremental", "reference", "audit")
+            for audit in (False, True)
         }
-        assert answers["incremental"] == answers["reference"] == answers["audit"]
+        assert answers[False] == answers[True]
 
     def test_audit_mode_detects_untracked_mutation(self):
-        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, accounting="audit")
+        m = SystemMemoryModel(total_bytes=8 * GIB, kernel_base=0, audit=True)
         p = m.spawn("a")
         key = m.map_private(p, 4 * MIB)
         # Bypassing resize_segment desyncs the ledger; audit must catch it.
         p.segments[key].size = 5 * MIB
         with pytest.raises(SimulationError, match="drift"):
             m.node_working_set()
+        # The batched scrape path is checked too, prefix by prefix.
+        with pytest.raises(SimulationError, match="drift in cgroup_working_set"):
+            m.cgroup_working_sets([""])
 
     def test_verify_accounting_passes_on_clean_model(self, memory):
         self._scenario(memory)
         memory.verify_accounting()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="accounting"):
-            SystemMemoryModel(accounting="sloppy")
-
-    def test_env_var_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_ACCOUNTING", "audit")
-        assert SystemMemoryModel().accounting == "audit"
 
 
 class TestBatchedCgroupWorkingSets:
