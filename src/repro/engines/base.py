@@ -15,7 +15,7 @@ from repro.errors import EngineError, WasmError, WasmTrap
 from repro.engines.profiles import EngineProfile
 from repro.wasm.ast import Module
 from repro.wasm.decoder import decode_module
-from repro.wasm.embed import WasiRunResult, run_wasi
+from repro.wasm.embed import WasiRunResult, ZygotePath, run_wasi
 from repro.wasm.validation import validate_module
 from repro.wasm.wasi.fs import InMemoryFilesystem
 
@@ -55,6 +55,11 @@ class EngineRunResult:
     #: granularity) — the COW split a clone of this run costs. Equals
     #: ``linear_memory_bytes`` when no snapshot exists (all private).
     dirty_memory_bytes: int = 0
+    #: WASI host calls before and after the guest-fault checkpoint (see
+    #: :class:`~repro.wasm.embed.WasiRunResult`); the run cache replays a
+    #: pod's fault draws from them
+    start_host_calls: int = 0
+    entry_host_calls: Optional[int] = 0
 
 
 class WasmEngine:
@@ -93,12 +98,14 @@ class WasmEngine:
         fs: Optional[InMemoryFilesystem] = None,
         stdin: bytes = b"",
         fuel: Optional[int] = DEFAULT_FUEL,
+        zygote_path: Optional[ZygotePath] = None,
     ) -> EngineRunResult:
         """Execute the module under WASI and meter the run.
 
         ``fuel`` bounds executed instructions (pass ``None`` to disable);
         exhaustion surfaces as :class:`EngineError`, which the kubelet
-        turns into a Failed pod.
+        turns into a Failed pod. ``zygote_path`` is forwarded to
+        :func:`~repro.wasm.embed.run_wasi`.
         """
         try:
             result: WasiRunResult = run_wasi(
@@ -110,6 +117,7 @@ class WasmEngine:
                 stdin=stdin,
                 fuel=fuel,
                 digest=compiled.digest,
+                zygote_path=zygote_path,
             )
         except WasmTrap as trap:
             raise EngineError(f"{self.name}: trap: {trap}") from trap
@@ -123,6 +131,8 @@ class WasmEngine:
             linear_memory_bytes=result.memory_bytes,
             exec_seconds=self.profile.exec_seconds(result.instructions),
             dirty_memory_bytes=result.dirty_memory_bytes,
+            start_host_calls=result.start_host_calls,
+            entry_host_calls=result.entry_host_calls,
         )
 
     # -- resource path -------------------------------------------------------

@@ -30,7 +30,8 @@ entry point:
   clones instead of re-running two-phase instantiation. A ``None`` entry
   marks a digest probed and found unsnapshottable, so it is not re-tried;
 * **run** — full :class:`EngineRunResult` per
-  ``(engine, digest, argv, env, stdin)``.
+  ``(engine, digest, argv, env, stdin)``, plus the zygote path (restore
+  or cold) under a plan arming a guest-runtime point.
 
 Each layer keeps hit/miss counters (:class:`CacheStats`, backed by the
 ``repro_engine_cache_requests_total`` registry family so they appear in
@@ -49,9 +50,13 @@ rebuild forever. The zygote layer adds a **quarantine**: a digest whose
 snapshot failed checksum verification is dropped and marked poisoned —
 :func:`zygote_get` stops serving it and :func:`zygote_known` keeps
 reporting it probed, so the embed layer neither restores from it nor
-re-captures it until :func:`reset_caches`. The run cache is *bypassed*
-whenever the ambient plan arms any guest-runtime point: memoizing runs
-would let one pod's injected trap answer for every pod.
+re-captures it until :func:`reset_caches`. Under a plan arming any
+guest-runtime point, a run-cache hit replays the pod's own fault draws
+before it is served: an entry records the guest's host calls before
+and after the ``guest.trap``/``guest.exhaust`` checkpoint, so a hit
+draws ``wasi.syscall``, ``guest.trap`` and ``guest.exhaust`` in the
+order a real run would and raises the same fault. One pod's injected
+trap never answers for another pod.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from repro.oci.digest import sha256_digest
 from repro.sim import faults
 from repro.wasm.ast import Module
 from repro.wasm.decoder import decode_module
+from repro.wasm.embed import choose_zygote_path
 from repro.wasm.runtime.compile import PreparedModule, prepare_module
 from repro.wasm.runtime.snapshot import InstanceSnapshot
 from repro.wasm.runtime.specialize import SpecializedModule, specialize_module
@@ -364,30 +370,62 @@ def run_cached(
     env: Optional[Dict[str, str]] = None,
     stdin: bytes = b"",
 ) -> Tuple[CompiledModule, EngineRunResult]:
+    """Run the guest once per distinct input; every later request is a hit.
+
+    Under an ambient plan arming a guest-runtime point, a hit must not let
+    one pod's run answer for every pod. The zygote path is chosen first
+    (drawing ``zygote.corrupt``) and joins the key, because restore and
+    cold runs differ in ``dirty_memory_bytes``; a hit then replays the
+    pod's own fault draws (:func:`_replay_faults`) and raises exactly the
+    fault a real run would have raised. Capture runs and runs that raise
+    are not stored.
+    """
     digest = sha256_digest(blob)  # hashed once: shared by compile + run keys
     compiled = compile_cached(engine, blob, digest=digest)
-    ctx = faults.ambient()
-    if ctx is not None and ctx[0].arms_any(faults.GUEST_RUNTIME_POINTS):
-        # A memoized result would let one pod's run (and its injected
-        # trap, or its survival) answer for every pod. Bypass entirely:
-        # each pod executes the guest and draws its own faults.
-        _CACHE_REQUESTS.labels("run", "bypass").inc()
-        return compiled, engine.run(compiled, args=args, env=env, stdin=stdin)
-    key = (
+    key: Tuple = (
         engine.name,
         digest,
         tuple(args),
         tuple(sorted((env or {}).items())),
         stdin,
     )
+    ctx = faults.ambient()
+    path = None
+    if ctx is not None and ctx[0].arms_any(faults.GUEST_RUNTIME_POINTS):
+        path = choose_zygote_path(digest)
+        key += (path.mode,)
     result = _RUN_CACHE.get(key)
-    if result is None:
-        run_stats.miss()
-        result = engine.run(compiled, args=args, env=env, stdin=stdin)
-        _RUN_CACHE[key] = result
-    else:
+    if result is not None:
         run_stats.hit()
+        if path is not None:
+            _replay_faults(ctx[0], ctx[1], result)
+        return compiled, result
+    run_stats.miss()
+    result = engine.run(compiled, args=args, env=env, stdin=stdin, zygote_path=path)
+    if path is None or not path.capture:
+        _RUN_CACHE[key] = result
     return compiled, result
+
+
+def _replay_faults(
+    plan: faults.FaultPlan, pod_key: str, result: EngineRunResult
+) -> None:
+    """Draw the guest-runtime faults a real run of ``result`` would draw,
+    in its order, raising the first that fires.
+
+    ``run_wasi`` draws ``wasi.syscall`` on every host call of the start
+    section, then ``guest.trap`` and ``guest.exhaust`` at its checkpoint,
+    then ``wasi.syscall`` on every host call of the entrypoint.
+    ``zygote.corrupt`` was already drawn by :func:`choose_zygote_path`.
+    """
+    for _ in range(result.start_host_calls):
+        plan.raise_if_fires(faults.FaultPoint.WASI_SYSCALL, pod_key)
+    if result.entry_host_calls is None:  # the start section exited
+        return
+    plan.raise_if_fires(faults.FaultPoint.GUEST_TRAP, pod_key)
+    plan.raise_if_fires(faults.FaultPoint.GUEST_EXHAUST, pod_key)
+    for _ in range(result.entry_host_calls):
+        plan.raise_if_fires(faults.FaultPoint.WASI_SYSCALL, pod_key)
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

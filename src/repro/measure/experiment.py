@@ -188,25 +188,25 @@ class ExperimentRunner:
                     sums[cat] = sums.get(cat, 0.0) + total
                     counts[cat] = counts.get(cat, 0) + n
             phase_means = {c: sums[c] / counts[c] for c in sums}
+        # One pass over the pods: per node, its pod count and its
+        # containers' warm/cold zygote starts.
+        by_node: Dict[str, List[int]] = {w.name: [0, 0, 0] for w in workers}
+        for p in pods:
+            tally = by_node[p.node_name]
+            tally[0] += 1
+            for c in cluster.nodes[p.node_name].kubelet.pod_containers[p.uid]:
+                warm = c.facts.get("zygote_warm")
+                if warm is True:
+                    tally[1] += 1
+                elif warm is False:
+                    tally[2] += 1
         per_node = tuple(
             NodeUsage(
                 name=worker.name,
-                pods=sum(1 for p in pods if p.node_name == worker.name),
+                pods=by_node[worker.name][0],
                 working_set_bytes=worker.env.memory.node_working_set(),
-                warm_starts=sum(
-                    1
-                    for p in pods
-                    if p.node_name == worker.name
-                    for c in worker.kubelet.pod_containers[p.uid]
-                    if c.facts.get("zygote_warm") is True
-                ),
-                cold_starts=sum(
-                    1
-                    for p in pods
-                    if p.node_name == worker.name
-                    for c in worker.kubelet.pod_containers[p.uid]
-                    if c.facts.get("zygote_warm") is False
-                ),
+                warm_starts=by_node[worker.name][1],
+                cold_starts=by_node[worker.name][2],
             )
             for worker in workers
         )

@@ -74,8 +74,9 @@ class FaultPoint(enum.Enum):
 
 
 #: points checked from inside guest execution (``run_wasi`` and below).
-#: When any of these is armed, the run cache must be bypassed so every
-#: pod's guest actually executes and gets its own per-(point, key) draws.
+#: When any of these is armed, the run cache keys entries by zygote path
+#: and a hit replays the pod's own per-(point, key) draws
+#: (:func:`repro.engines.cache.run_cached`).
 GUEST_RUNTIME_POINTS = frozenset(
     {
         FaultPoint.GUEST_TRAP,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import ExhaustionError, WasiExit, WasmError
@@ -62,39 +62,71 @@ class WasiRunResult:
     #: bytes of linear memory diverging from the snapshot at exit (page
     #: granularity); equals ``memory_bytes`` when no snapshot exists
     dirty_memory_bytes: int = 0
+    #: WASI host calls made before the ``guest.trap``/``guest.exhaust``
+    #: checkpoint (the start section) and after it (the entrypoint);
+    #: ``entry_host_calls`` is ``None`` when the start section exited the
+    #: guest, so the checkpoint and the entrypoint never ran
+    start_host_calls: int = 0
+    entry_host_calls: Optional[int] = 0
 
 
-class _HostCallCounter:
-    """Temporarily wraps every host function to count invocations.
+@dataclass(frozen=True)
+class ZygotePath:
+    """How one run of a digest gets its instance.
 
-    Decides snapshot placement: a start section that never calls the host
-    is pure state initialization, so the *post*-start state can be
-    captured and the start skipped on restore. Any host call means side
-    effects outside the instance — snapshot pre-start and re-run it.
+    ``restore`` clones ``snapshot``; ``capture`` is the digest's first
+    run, which instantiates cold and records the snapshot; ``cold``
+    instantiates two-phase without touching the zygote layer (digest
+    unsnapshottable or quarantined, or the zygote path disabled).
     """
 
-    def __init__(self, store: Store) -> None:
-        self._store = store
-        self.count = 0
-        self._saved: List[Tuple[object, Callable]] = []
+    snapshot: Optional[InstanceSnapshot] = None
+    capture: bool = False
 
-    def __enter__(self) -> "_HostCallCounter":
-        for func in self._store.funcs:
-            if func.is_host:
-                self._saved.append((func, func.host_fn))
-                func.host_fn = self._wrap(func.host_fn)
-        return self
+    @property
+    def mode(self) -> str:
+        if self.snapshot is not None:
+            return "restore"
+        return "capture" if self.capture else "cold"
 
-    def _wrap(self, fn: Callable) -> Callable:
-        def counted(*args):
-            self.count += 1
-            return fn(*args)
 
-        return counted
+def choose_zygote_path(digest: str) -> ZygotePath:
+    """Decide restore, capture or cold for one run of ``digest``.
 
-    def __exit__(self, *exc) -> None:
-        for func, fn in self._saved:
-            func.host_fn = fn
+    Under an armed fault scope this draws ``zygote.corrupt`` for every
+    restore, so call it exactly once per run: :func:`run_wasi` calls it
+    unless its caller (the engine run cache) already did and passes the
+    result in.
+    """
+    # Deferred: engines.cache imports engines.base, which imports us.
+    from repro.engines import cache as engine_cache
+
+    snapshot = engine_cache.zygote_get(digest)
+    if snapshot is not None:
+        ctx = faults.ambient()
+        # Injected corruption (chaos plan) or organic checksum mismatch
+        # both quarantine the digest: the snapshot is dropped, never
+        # re-captured, and this run — like every later one — takes the
+        # cold two-phase path. Verification is amortized to once per
+        # digest on the happy path, but runs every time under an armed
+        # fault scope (the plan may corrupt the entry on any restore).
+        corrupt = (
+            ctx is not None
+            and ctx[0].check(faults.FaultPoint.ZYGOTE_CORRUPT, ctx[1]) is not None
+        )
+        if not corrupt and (
+            ctx is not None or not engine_cache.zygote_verified(digest)
+        ):
+            if verify_snapshot(snapshot):
+                engine_cache.zygote_mark_verified(digest)
+            else:
+                corrupt = True
+        if corrupt:
+            engine_cache.zygote_quarantine(digest)
+            snapshot = None
+    # Quarantined digests stay zygote_known, so they never re-capture.
+    capture = snapshot is None and not engine_cache.zygote_known(digest)
+    return ZygotePath(snapshot, capture)
 
 
 def _credit_start_cost(interp, credited: int) -> None:
@@ -114,11 +146,16 @@ def _credit_start_cost(interp, credited: int) -> None:
 
 
 def _capture_zygote(
-    cache, store: Store, instance: ModuleInstance, interp, digest: str
+    cache, store: Store, instance: ModuleInstance, interp, wasi: WasiEnv, digest: str
 ) -> Optional[InstanceSnapshot]:
     """First run of a digest: run the start section (if any) and record
     the best restorable snapshot in the zygote layer. Returns it, or
     ``None`` when the module is unsnapshottable (digest poisoned).
+
+    A start section that never calls the host is pure state
+    initialization, so the *post*-start state is captured and the start
+    skipped on restore. Any host call means side effects outside the
+    instance: snapshot pre-start and re-run it.
 
     Raises whatever the start section raises — after saving the
     pre-start snapshot, so later runs still warm-start and reproduce the
@@ -132,14 +169,13 @@ def _capture_zygote(
 
     pre = capture_snapshot(store, instance, digest, start_rerun=True)
     before = interp.instructions_executed
-    counter = _HostCallCounter(store)
+    calls_before = wasi.host_calls
     try:
-        with counter:
-            interp.invoke(instance.func_addrs[module.start])
+        interp.invoke(instance.func_addrs[module.start])
     except BaseException:
         cache.zygote_put(digest, pre)
         raise
-    if counter.count:
+    if wasi.host_calls != calls_before:
         cache.zygote_put(digest, pre)
         return pre
     snapshot = capture_snapshot(
@@ -170,6 +206,7 @@ def run_wasi(
     interpreter_cls: type = Interpreter,
     zygote: bool = True,
     digest: Optional[str] = None,
+    zygote_path: Optional[ZygotePath] = None,
 ) -> WasiRunResult:
     """Execute a WASI command module to completion.
 
@@ -190,6 +227,9 @@ def run_wasi(
         digest: content digest of ``module`` if the caller knows it
             (derived automatically for ``bytes`` input); keys the zygote
             snapshot layer. Without a digest the run is always cold.
+        zygote_path: the path :func:`choose_zygote_path` already chose
+            for this run (the engine run cache decides before its
+            lookup); ``None`` decides here.
 
     Returns:
         :class:`WasiRunResult`. ``exit_code`` is 0 when the entrypoint
@@ -203,36 +243,11 @@ def run_wasi(
     elif not engine_cache.cache_validated(module):
         validate_module(module)
 
-    snapshot: Optional[InstanceSnapshot] = None
-    capture = False
-    if zygote and digest is not None:
-        snapshot = engine_cache.zygote_get(digest)
-        if snapshot is not None:
-            ctx = faults.ambient()
-            # Injected corruption (chaos plan) or organic checksum
-            # mismatch both quarantine the digest: the snapshot is
-            # dropped, never re-captured, and this run — like every
-            # later one — takes the cold two-phase path. Verification
-            # is amortized to once per digest on the happy path, but
-            # runs every time under an armed fault scope (the plan may
-            # corrupt the entry on any restore).
-            corrupt = (
-                ctx is not None
-                and ctx[0].check(faults.FaultPoint.ZYGOTE_CORRUPT, ctx[1])
-                is not None
-            )
-            if not corrupt and (
-                ctx is not None or not engine_cache.zygote_verified(digest)
-            ):
-                if verify_snapshot(snapshot):
-                    engine_cache.zygote_mark_verified(digest)
-                else:
-                    corrupt = True
-            if corrupt:
-                engine_cache.zygote_quarantine(digest)
-                snapshot = None
-        # Quarantined digests stay zygote_known, so capture stays False.
-        capture = snapshot is None and not engine_cache.zygote_known(digest)
+    if not zygote or digest is None:
+        zygote_path = ZygotePath()
+    elif zygote_path is None:
+        zygote_path = choose_zygote_path(digest)
+    snapshot, capture = zygote_path.snapshot, zygote_path.capture
 
     store = Store()
     wasi = WasiEnv(
@@ -265,6 +280,7 @@ def run_wasi(
 
     credited = 0
     exit_code = 0
+    start_calls: Optional[int] = None
     try:
         if restored:
             if module.start is not None and snapshot.start_rerun:
@@ -274,10 +290,13 @@ def run_wasi(
                 _credit_start_cost(interp, credited)
         elif capture:
             engine_cache.zygote_stats.miss()
-            snapshot = _capture_zygote(engine_cache, store, instance, interp, digest)
+            snapshot = _capture_zygote(
+                engine_cache, store, instance, interp, wasi, digest
+            )
         elif module.start is not None:
             interp.invoke(instance.func_addrs[module.start])
 
+        start_calls = wasi.host_calls
         ctx = faults.ambient()
         if ctx is not None:
             # Mid-run guest failures: a trap (unreachable, OOB) or
@@ -301,6 +320,10 @@ def run_wasi(
     except WasiExit as stop:
         exit_code = stop.code
 
+    if start_calls is None:  # the start section exited the guest
+        start_calls, entry_calls = wasi.host_calls, None
+    else:
+        entry_calls = wasi.host_calls - start_calls
     instructions = interp.instructions_executed + credited
     memory_bytes = store.total_memory_bytes()
     if snapshot is not None:
@@ -319,12 +342,11 @@ def run_wasi(
                 "repro_wasm_fuel_consumed_total",
                 "fuel consumed by fuel-limited guest runs",
             ).inc(fuel - max(remaining, 0))
-        mode = "restore" if restored else ("capture" if capture else "cold")
         obs.counter(
             "repro_zygote_runs_total",
             "guest runs by zygote warm-start path",
             ("mode",),
-        ).labels(mode).inc()
+        ).labels(zygote_path.mode).inc()
         pf = module.funcs[0].prepared if module.funcs else None
         # "off": a pass failure left the unspecialized prepared code
         spec_mode = "off" if getattr(pf, "fallback", None) is None else "bytecode"
@@ -351,4 +373,6 @@ def run_wasi(
         restored=restored,
         zygote_digest=digest if zygote else None,
         dirty_memory_bytes=dirty,
+        start_host_calls=start_calls,
+        entry_host_calls=entry_calls,
     )

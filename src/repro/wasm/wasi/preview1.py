@@ -63,6 +63,8 @@ class WasiEnv:
         self._clock_ns = clock_ns or (lambda: 1_000_000)
         self._random = random_bytes or (lambda n: bytes(n))
         self.memory: Optional[MemoryInstance] = None
+        #: host-function invocations so far (see :meth:`register`)
+        self.host_calls = 0
 
         self._fds: Dict[int, _FdEntry] = {
             0: _FdEntry(kind="stream", read_source=stdin, writable=False),
@@ -100,52 +102,43 @@ class WasiEnv:
     def register(self, store: Store) -> HostModule:
         """Create the ``wasi_snapshot_preview1`` host module in ``store``.
 
-        Under an ambient fault scope arming ``wasi.syscall``, every host
-        function is wrapped with a per-call injection check: a fire
-        raises :class:`~repro.errors.FaultInjected` out of the guest —
-        a pod-visible crash routed through the kubelet's restart-policy
+        Every host function counts its invocations in :attr:`host_calls`;
+        the engine run cache records the count to replay a pod's
+        ``wasi.syscall`` draws without re-running the guest. Under an
+        ambient fault scope arming ``wasi.syscall``, every host call
+        first draws for the pod: a fire raises
+        :class:`~repro.errors.FaultInjected` out of the guest — a
+        pod-visible crash routed through the kubelet's restart-policy
         machinery, never a stray Python exception. Registration happens
-        inside the container's fault scope, so the wrapper only exists
-        for chaos runs; the disabled path registers the bare functions.
+        inside the container's fault scope, so the draw only exists for
+        chaos runs.
         """
         hm = HostModule(store, MODULE_NAME)
-        wrap_fault = None
         ctx = faults.ambient()
-        if ctx is not None and ctx[0].arms_any((faults.FaultPoint.WASI_SYSCALL,)):
-            plan, pod_key = ctx
-
-            def wrap_fault(fn, _plan=plan, _key=pod_key):
-                def checked(*args, _fn=fn):
-                    _plan.raise_if_fires(faults.FaultPoint.WASI_SYSCALL, _key)
-                    return _fn(*args)
-
-                return checked
-
-        if obs.enabled():
-            calls = obs.counter(
+        if ctx is None or not ctx[0].arms_any((faults.FaultPoint.WASI_SYSCALL,)):
+            ctx = None
+        calls = (
+            obs.counter(
                 "repro_wasi_calls_total",
                 "WASI preview1 host calls, by import name",
                 ("func",),
             )
+            if obs.enabled()
+            else None
+        )
 
-            def add(name: str, signature, fn) -> None:
-                child = calls.labels(name)
-                if wrap_fault is not None:
-                    fn = wrap_fault(fn)
+        def add(name: str, signature, fn) -> None:
+            child = obs.NULL_METRIC if calls is None else calls.labels(name)
 
-                def wrapped(*args, _fn=fn, _child=child):
-                    _child.inc()
-                    return _fn(*args)
+            def host_call(*args):
+                self.host_calls += 1
+                child.inc()
+                if ctx is not None:
+                    ctx[0].raise_if_fires(faults.FaultPoint.WASI_SYSCALL, ctx[1])
+                return fn(*args)
 
-                hm.func(name, signature, wrapped)
+            hm.func(name, signature, host_call)
 
-        elif wrap_fault is not None:
-
-            def add(name: str, signature, fn) -> None:
-                hm.func(name, signature, wrap_fault(fn))
-
-        else:
-            add = hm.func
         add("args_sizes_get", sig("ii", "i"), self.args_sizes_get)
         add("args_get", sig("ii", "i"), self.args_get)
         add("environ_sizes_get", sig("ii", "i"), self.environ_sizes_get)

@@ -1,11 +1,12 @@
-"""Cache-entry corruption: rebuild-once semantics and the run-cache bypass.
+"""Cache-entry corruption: rebuild-once semantics and the run-cache replay.
 
 Armed with ``cache.corrupt``, a warm decode/compile/prepare hit can come
 back poisoned; the layer must drop the entry and rebuild it — at most
 once per entry (``MAX_REBUILDS_PER_ENTRY``), so a hostile plan cannot
 turn the cache into a permanent miss machine. And with any guest-runtime
-point armed, the run cache must get out of the way entirely: memoizing
-one pod's execution would let its fault draw answer for every pod.
+point armed, a run-cache hit must replay the pod's own fault draws in
+the order a real run makes them, so one pod's execution never answers
+for another pod's faults.
 """
 
 import pytest
@@ -20,8 +21,10 @@ from repro.engines.cache import (
     run_cached,
 )
 from repro.engines import get_engine
+from repro.errors import FaultInjected
 from repro.sim.faults import FaultPlan, FaultPoint, FaultSpec, fault_scope
 from repro.wasm import assemble_wat
+from repro.wasm.embed import run_wasi
 from repro.wasm.runtime import SpecializedFunction
 
 WAT = r"""
@@ -126,42 +129,160 @@ class TestSpecializeCorrupt:
         assert cache_stats()["specialize"]["entries"] == 0
 
 
-class TestRunCacheBypass:
-    def test_armed_guest_points_bypass_run_cache(self):
-        blob = assemble_wat(WAT)
-        engine = get_engine("wamr")
-        plan = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=0.0)]
-        )
-        # probability=0 still counts as unarmed: memoization is safe.
+#: a start section and an entrypoint that both call the host: two
+#: start-phase and one entry-phase ``wasi.syscall`` draw per run
+HOST_CALLS_WAT = r"""
+(module
+  (import "wasi_snapshot_preview1" "sched_yield" (func $yield (result i32)))
+  (memory (export "memory") 1)
+  (func $init (drop (call $yield)) (drop (call $yield)))
+  (start $init)
+  (func (export "_start") (drop (call $yield))))
+"""
+
+
+def _spent_plan():
+    """Armed for the guest but unable to fire: runs complete and store."""
+    return FaultPlan(
+        [FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0, max_occurrences=0)]
+    )
+
+
+def _serve(blob, plan, replay):
+    """One pod's run of ``blob`` under ``plan`` on a fresh cache whose
+    zygote is captured. With ``replay`` the restore-path entry is stored
+    first, so the run is a hit; otherwise it executes the guest.
+
+    Returns the result or the raised fault's fields, the plan's fired log
+    and its check count.
+    """
+    reset_caches()
+    engine = get_engine("wamr")
+    with fault_scope(_spent_plan(), "pod-0"):
+        run_cached(engine, blob, args=("m",))  # capture: not stored
+        if replay:
+            run_cached(engine, blob, args=("m",))  # restore: stored
+    hits = cache_stats()["run"]["hits"]
+    try:
         with fault_scope(plan, "pod-1"):
-            run_cached(engine, blob, args=("m",))
-            run_cached(engine, blob, args=("m",))
-        assert cache_stats()["run"]["entries"] == 1
+            outcome = run_cached(engine, blob, args=("m",))[1]
+    except FaultInjected as exc:
+        outcome = (exc.point, exc.key, exc.occurrence, exc.transient, str(exc))
+    assert cache_stats()["run"]["hits"] - hits == int(replay)
+    return outcome, plan.fired, plan.checks
 
-        reset_caches()
-        # Armed (probability > 0) but with a spent budget: the bypass
-        # decision keys on arming alone, and no fault actually fires.
-        armed = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0, max_occurrences=0)]
-        )
-        with fault_scope(armed, "pod-1"):
-            run_cached(engine, blob, args=("m",))
-            run_cached(engine, blob, args=("m",))
-        # Nothing memoized: every pod executes and draws its own faults.
-        assert cache_stats()["run"]["entries"] == 0
 
-    def test_bypass_results_match_memoized(self):
+class TestRunCacheReplay:
+    def test_unarmed_plan_keeps_fault_free_key(self):
         blob = assemble_wat(WAT)
         engine = get_engine("wamr")
         _, memoized = run_cached(engine, blob, args=("m",))
-        plan = FaultPlan(
-            [FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0, max_occurrences=0)]
-        )
+        # probability=0 counts as unarmed: the fault-free entry serves.
+        plan = FaultPlan([FaultSpec(FaultPoint.GUEST_TRAP, probability=0.0)])
         with fault_scope(plan, "pod-1"):
-            _, bypassed = run_cached(engine, blob, args=("m",))
-        assert (bypassed.exit_code, bypassed.stdout, bypassed.stderr) == (
+            assert run_cached(engine, blob, args=("m",))[1] is memoized
+        assert cache_stats()["run"]["entries"] == 1
+
+    def test_spent_budget_plan_memoizes(self):
+        blob = assemble_wat(WAT)
+        engine = get_engine("wamr")
+        run_wasi(blob)  # capture the zygote, so both pods below restore
+        with fault_scope(_spent_plan(), "pod-1"):
+            run_cached(engine, blob, args=("m",))
+            run_cached(engine, blob, args=("m",))
+        run = cache_stats()["run"]
+        assert (run["entries"], run["misses"], run["hits"]) == (1, 1, 1)
+
+    def test_capture_run_is_not_stored(self):
+        blob = assemble_wat(WAT)
+        with fault_scope(_spent_plan(), "pod-1"):
+            run_cached(get_engine("wamr"), blob, args=("m",))
+        assert cache_stats()["run"]["entries"] == 0
+        assert cache_stats()["zygote"]["entries"] == 1
+
+    def test_replayed_results_match_memoized(self):
+        blob = assemble_wat(WAT)
+        engine = get_engine("wamr")
+        _, memoized = run_cached(engine, blob, args=("m",))
+        with fault_scope(_spent_plan(), "pod-1"):
+            run_cached(engine, blob, args=("m",))
+            _, replayed = run_cached(engine, blob, args=("m",))
+        assert cache_stats()["run"]["hits"] == 1
+        assert (replayed.exit_code, replayed.stdout, replayed.stderr) == (
             memoized.exit_code,
             memoized.stdout,
             memoized.stderr,
         )
+
+    def test_host_calls_recorded_per_phase(self):
+        blob = assemble_wat(HOST_CALLS_WAT)
+        result, _, _ = _serve(blob, _spent_plan(), replay=True)
+        assert (result.start_host_calls, result.entry_host_calls) == (2, 1)
+
+    def test_hit_raises_same_syscall_fault_as_real_run(self):
+        blob = assemble_wat(HOST_CALLS_WAT)
+
+        def plan():
+            return FaultPlan(
+                [FaultSpec(FaultPoint.WASI_SYSCALL, probability=1.0)], seed=3
+            )
+
+        real = _serve(blob, plan(), replay=False)
+        replayed = _serve(blob, plan(), replay=True)
+        assert replayed == real
+        point, key, occurrence, _, message = real[0]
+        assert (point, key, occurrence) == ("wasi.syscall", "pod-1", 1)
+        assert "wasi.syscall" in message
+
+    @pytest.mark.parametrize("syscall_budget", [0, None])
+    def test_start_phase_draws_precede_guest_trap(self, syscall_budget):
+        """Budget 0: the syscall draws are checks that cannot fire, so
+        ``checks`` counts the two start-phase draws before the trap.
+        Unlimited: the first start-phase draw fires before the trap."""
+        blob = assemble_wat(HOST_CALLS_WAT)
+
+        def plan():
+            return FaultPlan(
+                [
+                    FaultSpec(
+                        FaultPoint.WASI_SYSCALL,
+                        probability=1.0,
+                        max_occurrences=syscall_budget,
+                    ),
+                    FaultSpec(FaultPoint.GUEST_TRAP, probability=1.0),
+                ]
+            )
+
+        real = _serve(blob, plan(), replay=False)
+        replayed = _serve(blob, plan(), replay=True)
+        assert replayed == real
+        expected = "guest.trap" if syscall_budget == 0 else "wasi.syscall"
+        assert real[0][0] == expected
+        assert real[2] == (3 if syscall_budget == 0 else 1)
+
+    def test_quarantine_serves_cold_path_results(self):
+        blob = assemble_wat(WAT)
+        engine = get_engine("wamr")
+        with fault_scope(_spent_plan(), "pod-0"):
+            run_cached(engine, blob, args=("m",))  # capture
+            _, restored = run_cached(engine, blob, args=("m",))
+        assert restored.dirty_memory_bytes < restored.linear_memory_bytes
+        corrupt = FaultPlan(
+            [
+                FaultSpec(
+                    FaultPoint.ZYGOTE_CORRUPT, probability=1.0, max_occurrences=1
+                )
+            ]
+        )
+        results = []
+        for pod in ("pod-1", "pod-2", "pod-3"):
+            with fault_scope(corrupt, pod):
+                results.append(run_cached(engine, blob, args=("m",))[1])
+        assert corrupt.count(FaultPoint.ZYGOTE_CORRUPT) == 1
+        for result in results:
+            assert result.dirty_memory_bytes == result.linear_memory_bytes
+        # Capture, restore and pod-1 (cold) execute; pod-2 and pod-3 hit
+        # the cold-path entry pod-1 stored.
+        assert results[0] is results[1] is results[2]
+        run = cache_stats()["run"]
+        assert (run["entries"], run["misses"], run["hits"]) == (2, 3, 2)

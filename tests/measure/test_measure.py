@@ -88,6 +88,37 @@ class TestExperimentRunner:
         assert m.ready_fraction == 1.0
         assert m.metrics_mib > 4.0
 
+    def test_per_node_matches_hand_count(self, monkeypatch):
+        """``per_node`` against a per-node scan of every pod, taken just
+        before the runner tears the fleet down."""
+        from repro.k8s.cluster import Cluster
+
+        expected = {}
+        teardown = Cluster.teardown
+
+        def count_then_teardown(cluster, pods):
+            for name, node in cluster.nodes.items():
+                containers = [
+                    c
+                    for p in pods
+                    if p.node_name == name
+                    for c in node.kubelet.pod_containers[p.uid]
+                ]
+                expected[name] = (
+                    sum(1 for p in pods if p.node_name == name),
+                    sum(1 for c in containers if c.facts.get("zygote_warm") is True),
+                    sum(1 for c in containers if c.facts.get("zygote_warm") is False),
+                )
+            teardown(cluster, pods)
+
+        monkeypatch.setattr(Cluster, "teardown", count_then_teardown)
+        # 90 pods: each node's later pods start after its zygote is ready.
+        m = ExperimentRunner(seed=2).run("crun-wamr-zygote", 90, nodes=3)
+        got = {u.name: (u.pods, u.warm_starts, u.cold_starts) for u in m.per_node}
+        assert got == expected
+        assert len(got) == 3
+        assert all(warm > 0 and cold > 0 for _, warm, cold in got.values())
+
 
 class TestTables:
     def test_table1_matches_paper(self):

@@ -202,7 +202,7 @@ def test_arms_any():
     )
     assert plan.arms_any((FaultPoint.GUEST_TRAP,))
     assert plan.arms_any(GUEST_RUNTIME_POINTS)
-    # probability=0 counts as unarmed for bypass decisions.
+    # probability=0 counts as unarmed: the run cache keeps its fault-free key.
     assert not plan.arms_any((FaultPoint.WASI_SYSCALL,))
     assert not plan.arms_any((FaultPoint.IMAGE_PULL,))
 
