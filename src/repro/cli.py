@@ -261,17 +261,10 @@ def _cmd_zygote(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.measure.cache import MeasurementCache
     from repro.measure.campaign import render_campaign, run_campaign
 
     telemetry = _enable_telemetry(args)
-    if args.no_cache:
-        cache = None
-    elif args.cache_dir:
-        cache = MeasurementCache(pathlib.Path(args.cache_dir))
-    else:
-        from repro.measure.parallel import DEFAULT_CACHE as cache
-
+    cache = _series_cache(args)
     if telemetry and cache is not None:
         # Cache hits skip simulation — and with it the telemetry the
         # export is supposed to capture. Worker telemetry itself merges
@@ -719,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics", default=None, metavar="FILE",
         help="also render a Prometheus export from --metrics-out "
-             "(specialization-tier counters and the rest)",
+             "(engine-cache, zygote and specialization-pass families "
+             "and the rest)",
     )
     p.add_argument(
         "--metrics-prefix", default=None, metavar="PREFIX",

@@ -18,13 +18,12 @@ entry point:
   digest. Prepared functions are instance-independent, so one prepared
   module serves every instantiation and is re-attached to fresh decodes
   of the same blob;
-* **specialize** — the optimization tier's
+* **specialize** — the constant-folding tier's
   :class:`~repro.wasm.runtime.specialize.SpecializedModule` per digest.
   Specialized code is instance-independent like prepared code — the
-  passes fold only module-defined immutable globals and guard everything
-  else at run time — so it attaches to every decode of the blob. A
-  failed pass leaves the unspecialized prepared code attached
-  (performance lost, correctness kept);
+  pass folds only module-defined immutable globals — so it attaches to
+  every decode of the blob. A failed pass leaves the unspecialized
+  prepared code attached (performance lost, correctness kept);
 * **zygote** — one :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`
   per digest: the post-initialization instance state the warm-start path
   clones instead of re-running two-phase instantiation. A ``None`` entry

@@ -52,19 +52,17 @@ def prewarm_process_caches() -> None:
     7.4 MiB stdlib layer — a measurable per-cluster cost) and runs the
     microservice module through the digest-keyed decode/prepare path, so
     every forked worker starts with hot engine caches instead of paying
-    the cold start once per worker.
+    the cold start once per worker. A failure here is a broken decode,
+    prepare or specialize path, not a cold cache, so it propagates to
+    the caller.
     """
+    from repro.engines.cache import decode_cached
     from repro.workloads.images import build_python_image, build_wasm_image
+    from repro.workloads.microservice import build_microservice_wasm
 
     build_wasm_image()
     build_python_image()
-    try:
-        from repro.engines.cache import decode_cached
-        from repro.workloads.microservice import build_microservice_wasm
-
-        decode_cached(build_microservice_wasm())
-    except Exception:
-        pass  # pre-warming is an optimization, never a hard requirement
+    decode_cached(build_microservice_wasm())
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def render_metrics(text: str, prefix: Optional[str] = None) -> str:
 
     ``repro inspect --metrics`` uses this to surface counters that have
     no span representation — e.g. the specialization tier's
-    ``repro_specialize_*`` outcome/deopt families.
+    ``repro_specialize_*`` outcome and pass-latency families.
     """
     families = parse_prometheus_text(text)
     if prefix is not None:

@@ -7,9 +7,9 @@ main exec); the *runtime* points extend the plan past Running into every
 fast path built since: guest traps and fuel/OOM exhaustion mid-run,
 WASI syscall errors, zygote snapshot corruption, engine-cache entry
 corruption (``cache.corrupt`` covers the decode/compile/prepare layers
-and, since PR 7, the digest-keyed specialized-code layer — a corrupted
-entry is re-specialized under the same rebuild cap, falling back to
-unspecialized prepared code if the pass fails), metrics-scrape loss, and
+and the digest-keyed specialized-code layer — a corrupted entry is
+re-specialized under the same rebuild cap, falling back to unspecialized
+prepared code if the pass fails), metrics-scrape loss, and
 liveness/readiness probe failures.
 Each point carries a firing probability, an optional max-occurrence
 budget, and a transient-vs-permanent classification. Components ask the

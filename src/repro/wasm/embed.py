@@ -6,9 +6,8 @@ link WASI imports → instantiate → attach exported memory → call
 
 Repeated runs of one blob are collapsed through the engine caches: the
 bytes are decoded/validated once per digest (``decode`` layer), the
-**specialization tier** rewrites the prepared bytecode once per digest
-(``specialize`` layer — constant folding, peephole re-fusion,
-bounds-check elision, inline caches), and
+**specialization tier** folds immutable globals into the prepared
+bytecode once per digest (``specialize`` layer), and
 the **zygote warm-start** path instantiates once per digest, captures an
 :class:`~repro.wasm.runtime.snapshot.InstanceSnapshot`, and clones every
 subsequent instance from it (``zygote`` layer) — observably identical to

@@ -4,9 +4,8 @@ Two interpreters share one store model: the production
 :class:`Interpreter` runs flat pre-compiled code (see ``compile.py``),
 while :class:`ReferenceInterpreter` walks the AST and serves as the
 executable specification for differential testing. The specialization
-tier (``specialize.py``) rewrites prepared code per module digest —
-constant folding, peephole re-fusion, bounds-check elision, and inline
-caches — with guarded deopt back to the prepared baseline.
+tier (``specialize.py``) folds immutable globals into prepared code per
+module digest, falling back to the prepared baseline if the pass fails.
 """
 
 from repro.wasm.runtime.store import (

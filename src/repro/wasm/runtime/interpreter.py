@@ -15,8 +15,9 @@ instruction *before* it executes; ``ExhaustionError("fuel exhausted")``
 with the exhausting instruction not counted), ``instructions_executed``
 (counts source AST instructions, not flat entries — fused
 superinstructions carry the summed weight of their parts), and all trap
-messages. Code rewritten by the specialization tier (``specialize.py``)
-is the same kind of triple tuple and runs on this same loop.
+messages. Code whose immutable globals the specialization tier
+(``specialize.py``) folded to constants is the same kind of triple tuple,
+entry for entry, and runs on this same loop.
 
 Fuel bookkeeping is hoisted out of the common path: when ``fuel`` is
 ``None`` the loop accumulates the count in a local and flushes it once

@@ -99,6 +99,20 @@ class TestMeasurementCache:
         assert warm == sequential
 
 
+class TestPrewarm:
+    def test_decode_failure_reaches_caller(self, monkeypatch):
+        # A broken decode/prepare/specialize path must not hide at startup.
+        from repro.engines import cache as engine_cache
+        from repro.measure.pool import prewarm_process_caches
+
+        def boom(blob):
+            raise RuntimeError("decode path broken")
+
+        monkeypatch.setattr(engine_cache, "decode_cached", boom)
+        with pytest.raises(RuntimeError, match="decode path broken"):
+            prewarm_process_caches()
+
+
 class TestTelemetryMerge:
     """--trace-out/--metrics-out work at any --jobs N (satellite fix).
 

@@ -220,6 +220,15 @@ class TestSeriesCommand:
         assert "done recovery:crun-wamr:n100:s1" in out
         assert "1/1 cells" in out
 
+    def test_campaign_uses_cache_dir(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ["campaign", "--seed", "1", "--jobs", "1", "--cache-dir", str(cache)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert any(cache.rglob("*.json"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
     def test_run_journals_to_manifest(self, tmp_path, capsys):
         import json
 
