@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro import obs
 from repro.oci.store import ImageStore
@@ -43,6 +43,9 @@ class NodeEnv:
     #: cache, so warm/cold decisions are deterministic per experiment
     #: regardless of what ran earlier in the process.
     zygote_ready: Set[Tuple[str, str]] = field(default_factory=set)
+    #: called when a new zygote snapshot becomes ready on this node (the
+    #: scheduler's dirty mark: the node's locality bonus just changed)
+    on_zygote_ready: Optional[Callable[[], None]] = None
     _containerd_heap_key: Optional[str] = None
 
     @classmethod
@@ -115,7 +118,11 @@ class NodeEnv:
 
     def note_zygote(self, config_id: str, image_ref: str) -> None:
         """Record that a cold container left a restorable snapshot behind."""
-        self.zygote_ready.add((config_id, image_ref))
+        key = (config_id, image_ref)
+        if key not in self.zygote_ready:
+            self.zygote_ready.add(key)
+            if self.on_zygote_ready is not None:
+                self.on_zygote_ready()
 
     def inject(self, point: FaultPoint, key: str) -> None:
         """Fault-injection hook: raises ``FaultInjected`` when armed & firing."""

@@ -31,8 +31,9 @@ class APIServer:
         self.runtime_classes: Dict[str, RuntimeClass] = {}
         self._pod_watchers: List[Watcher] = []
         self._capacity_watchers: List[CapacityWatcher] = []
-        #: bumped whenever the node set changes; cached node orderings
-        #: (the scheduler's) revalidate against it in O(1)
+        #: bumped whenever the node set or a node's schedulability
+        #: changes; cached node indexes (the scheduler's) revalidate
+        #: against it in O(1)
         self.nodes_version = 0
 
     # -- registration ------------------------------------------------------
@@ -42,6 +43,19 @@ class APIServer:
             raise KubernetesError(f"node {node.name} already registered")
         self.nodes[node.name] = node
         self.nodes_version += 1
+
+    def cordon(self, node_name: str) -> None:
+        """Mark a node unschedulable: no pod binds to it from now on.
+
+        The only supported way to cordon. It bumps ``nodes_version``, so
+        the scheduler drops the node from its cached feasible lists.
+        """
+        node = self.nodes.get(node_name)
+        if node is None:
+            raise KubernetesError(f"cordon of unknown node {node_name}")
+        if not node.unschedulable:
+            node.unschedulable = True
+            self.nodes_version += 1
 
     def register_runtime_class(self, rc: RuntimeClass) -> None:
         self.runtime_classes[rc.name] = rc

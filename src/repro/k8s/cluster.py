@@ -207,7 +207,7 @@ class Cluster:
         Returns the drained pods.
         """
         worker = self.nodes[node_name]
-        worker.info.unschedulable = True
+        self.api.cordon(node_name)
         drained = []
         for pod in self.api.pods_on_node(node_name):
             if pod.phase in (PodPhase.PENDING, PodPhase.RUNNING):
@@ -321,13 +321,15 @@ def build_cluster(
             runtime_handlers=known_configs() + ablation_configs(),
         )
         api.register_node(info)
-        scheduler.attach_node_signals(
+        node_changed = scheduler.attach_node_signals(
             name,
             NodeSignals(
                 working_set=memory.node_working_set,
                 zygote_warm=env.zygote_warm,
             ),
         )
+        memory.on_working_set_change = node_changed
+        env.on_zygote_ready = node_changed
         nodes[name] = WorkerNode(
             name=name,
             env=env,

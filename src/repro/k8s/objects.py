@@ -104,7 +104,8 @@ class NodeInfo:
     labels: Dict[str, str] = field(default_factory=dict)
     runtime_handlers: List[str] = field(default_factory=list)
     pod_uids: List[str] = field(default_factory=list)
-    #: cordoned / failed nodes are filtered out of scheduling entirely
+    #: cordoned / failed nodes are filtered out of scheduling entirely;
+    #: set it through ``APIServer.cordon`` so the scheduler sees it
     unschedulable: bool = False
 
     @property

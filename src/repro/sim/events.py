@@ -4,26 +4,28 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
-    Ordering is (time, sequence number): two events at the same instant run
-    in the order they were scheduled, which keeps multi-process experiments
-    deterministic.
+    Events carry no ordering of their own: the queue keys its heap on
+    ``(time, seq, event)`` tuples, so every heap comparison is a C-level
+    tuple compare that never reaches the event (``seq`` is unique). Two
+    events at the same instant run in the order they were scheduled,
+    which keeps multi-process experiments deterministic.
     """
 
     time: float
     seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], Any]
+    cancelled: bool = False
+    label: str = ""
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -34,7 +36,7 @@ class EventQueue:
     """Min-heap of :class:`Event` keyed by (time, insertion order)."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -44,8 +46,9 @@ class EventQueue:
     def push(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        ev = Event(time=time, seq=next(self._counter), callback=callback, label=label)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._counter)
+        ev = Event(time=time, seq=seq, callback=callback, label=label)
+        heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
 
@@ -57,8 +60,9 @@ class EventQueue:
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` if empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            ev = heapq.heappop(heap)[2]
             if ev.cancelled:
                 continue
             self._live -= 1
@@ -68,6 +72,7 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

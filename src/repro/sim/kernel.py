@@ -187,18 +187,21 @@ class Kernel:
 
         Returns the final simulated time.
         """
-        while True:
-            t = self.queue.peek_time()
-            if t is None:
-                break
-            if until is not None and t > until:
-                self.clock.advance_to(until)
-                return self.clock.now
-            ev = self.queue.pop()
-            assert ev is not None
-            self.clock.advance_to(ev.time)
+        queue, clock = self.queue, self.clock
+        if until is None:
+            # Nothing can stop the drain early, so pop once per event.
+            while (ev := queue.pop()) is not None:
+                clock.advance_to(ev.time)
+                ev.callback()
+            return clock.now
+        while (t := queue.peek_time()) is not None:
+            if t > until:
+                clock.advance_to(until)
+                return clock.now
+            ev = queue.pop()
+            clock.advance_to(ev.time)
             ev.callback()
-        return self.clock.now
+        return clock.now
 
     def run_all(self, gens: Iterable[SimGen]) -> list[Any]:
         """Spawn ``gens`` concurrently, run to completion, return results.

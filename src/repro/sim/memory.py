@@ -31,7 +31,7 @@ walks the whole ledger against the oracle at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.errors import OutOfMemory, SimulationError
@@ -169,6 +169,10 @@ class SystemMemoryModel:
         self._file_owner: Dict[str, Optional[str]] = {}  # charged cgroup
         self._file_total = 0
         self._cache_total = 0
+        #: called after every change to the node working set
+        #: (``_private_total + _file_total``); the scheduler wires its
+        #: per-node dirty mark here so it rescores only changed nodes
+        self.on_working_set_change: Optional[Callable[[], None]] = None
         self.reference = ReferenceAccountant(self)
         # Query/audit telemetry, children pre-bound (hot path).
         _m_queries = obs.counter(
@@ -221,6 +225,8 @@ class SystemMemoryModel:
 
     def _add_cgroup_private(self, cgroup: str, delta: int) -> None:
         self._private_total += delta
+        if self.on_working_set_change is not None:
+            self.on_working_set_change()
         updated = self._cgroup_private.get(cgroup, 0) + delta
         if updated:
             self._cgroup_private[cgroup] = updated
@@ -281,6 +287,8 @@ class SystemMemoryModel:
                     break
         self._file_total += size - self._file_sizes.get(file_key, 0)
         self._file_sizes[file_key] = size
+        if self.on_working_set_change is not None:
+            self.on_working_set_change()
 
     def _refresh_file_owner(self, file_key: str) -> None:
         owner = None
@@ -331,6 +339,8 @@ class SystemMemoryModel:
             self._file_sizes[file_key] = size
             self._file_total += size
             self._file_owner[file_key] = proc.cgroup if proc.alive else None
+            if self.on_working_set_change is not None:
+                self.on_working_set_change()
         return key
 
     def map_cow(
@@ -360,6 +370,8 @@ class SystemMemoryModel:
             self._file_sizes[cow_key] = size
             self._file_total += size
             self._file_owner[cow_key] = proc.cgroup if proc.alive else None
+            if self.on_working_set_change is not None:
+                self.on_working_set_change()
         return key
 
     def _unmap_file(self, pid: int, file_key: str) -> None:
@@ -371,6 +383,8 @@ class SystemMemoryModel:
                 del self._file_mappers[file_key]
                 self._file_total -= self._file_sizes.pop(file_key)
                 self._file_owner.pop(file_key)
+                if self.on_working_set_change is not None:
+                    self.on_working_set_change()
                 return
             if was_first:
                 self._refresh_file_size(file_key)

@@ -117,7 +117,7 @@ class TestPlacementFailureTelemetry:
         spec.node_selector = {"zone": "nowhere"}
         cluster.api.create_pod("mismatch", spec)
         for name in list(cluster.nodes):
-            cluster.nodes[name].info.unschedulable = True
+            cluster.api.cordon(name)
         cluster.make_pod("crun-wamr")
         fam = telemetry.default_registry().get(
             "repro_scheduler_placement_failures_total"

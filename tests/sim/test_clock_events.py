@@ -1,10 +1,12 @@
 """Clock and event-queue unit tests."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 class TestSimClock:
@@ -86,3 +88,40 @@ class TestEventQueue:
     def test_nan_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().push(float("nan"), lambda: None)
+
+
+class TestTupleHeap:
+    """The heap holds ``(time, seq, event)`` tuples; events never compare."""
+
+    def test_fifo_at_equal_times_over_10k_events(self):
+        rng = random.Random(17)
+        q = EventQueue()
+        pushed = []
+        for i in range(10_000):
+            t = float(rng.randrange(50))  # ~200 events share each instant
+            q.push(t, lambda: None, label=str(i))
+            pushed.append((t, i))
+        popped = []
+        while (ev := q.pop()) is not None:
+            popped.append((ev.time, int(ev.label)))
+        assert popped == sorted(pushed)
+
+    def test_cancel_peek_and_len_with_tuple_entries(self):
+        q = EventQueue()
+        evs = [q.push(t, lambda: None, label=f"e{t}") for t in (3.0, 1.0, 1.0, 2.0)]
+        assert len(q) == 4 and q.peek_time() == 1.0
+        q.cancel(evs[1])  # the head
+        q.cancel(evs[2])  # its equal-time twin
+        assert len(q) == 2
+        assert q.peek_time() == 2.0
+        assert q.pop() is evs[3]
+        q.cancel(evs[0])
+        assert len(q) == 0
+        assert q.peek_time() is None and q.pop() is None
+
+    def test_events_define_no_ordering(self):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert op not in vars(Event)
+        a, b = Event(1.0, 0, lambda: None), Event(2.0, 1, lambda: None)
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015 - the comparison itself must raise
